@@ -62,9 +62,10 @@ let verbose_arg =
 
 let jobs_arg =
   let doc =
-    "Parallel workers for the sentence-analysis phase (0 = auto-detect one \
-     per core).  Needs OCaml 5 domains; on older compilers the run \
-     degrades to sequential.  Output is byte-identical for any value."
+    "Parallel workers for the sentence-analysis phase (0 = one per core). \
+     Capped at the host's core count, since extra workers only contend. \
+     Needs OCaml 5 domains; on older compilers the run degrades to \
+     sequential.  Output is byte-identical for any value."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -1167,230 +1168,6 @@ let report_cmd =
           $ trace_format_arg $ trace_clock_arg)
 
 (* ------------------------------------------------------------------ *)
-(* sage bench                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let bench_cmd =
-  let list_arg =
-    let doc = "List the registered benchmark targets and exit." in
-    Arg.(value & flag & info [ "list" ] ~doc)
-  in
-  let filter_arg =
-    let doc = "Only run targets whose key contains $(docv)." in
-    Arg.(value & opt string "" & info [ "filter" ] ~docv:"SUBSTR" ~doc)
-  in
-  let check_arg =
-    let doc =
-      "After measuring, gate against the recorded trajectory: exit 1 \
-       with a delta table when any key regressed beyond its tolerance \
-       or went missing."
-    in
-    Arg.(value & flag & info [ "check" ] ~doc)
-  in
-  let seeded_regression_arg =
-    let doc =
-      "Plant a deliberate 3x slowdown on one measured key before the \
-       check (the $(b,winnow) target when selected), so the regression \
-       gate itself can be exit-code tested.  Implies $(b,--check); the \
-       recorded history is never tampered."
-    in
-    Arg.(value & flag & info [ "seeded-regression" ] ~doc)
-  in
-  let history_arg =
-    let doc = "Trajectory file to read (and with $(b,--record), append to)." in
-    Arg.(value
-         & opt string "BENCH_history.json"
-         & info [ "history" ] ~docv:"FILE" ~doc)
-  in
-  let record_arg =
-    let doc =
-      "Append the measured results to the history as commit $(docv) \
-       (atomic write: temp + rename)."
-    in
-    Arg.(value & opt (some string) None & info [ "record" ] ~docv:"COMMIT" ~doc)
-  in
-  let date_arg =
-    let doc =
-      "ISO date for $(b,--record) (defaults to today, UTC); pinning it \
-       keeps recorded files reproducible."
-    in
-    Arg.(value & opt (some string) None & info [ "date" ] ~docv:"DATE" ~doc)
-  in
-  let import_arg =
-    let doc =
-      "With $(b,--record): also fold the flat BENCH_pipeline.json-style \
-       snapshot $(docv) into the recorded commit (backend \
-       $(b,snapshot)); measured keys win on collision."
-    in
-    Arg.(value & opt (some string) None & info [ "import" ] ~docv:"FILE" ~doc)
-  in
-  let tolerance_arg =
-    let doc =
-      "Default allowed slowdown versus baseline, in percent (per-key \
-       registry overrides still apply)."
-    in
-    Arg.(value & opt (some float) None & info [ "tolerance" ] ~docv:"PCT" ~doc)
-  in
-  let window_arg =
-    let doc = "Baseline = median of the last $(docv) recorded values." in
-    Arg.(value & opt int 5 & info [ "window" ] ~docv:"K" ~doc)
-  in
-  let render_arg =
-    let doc =
-      "Print the BENCH.md trajectory page (sparkline table) generated \
-       from the history and exit — deterministic: byte-identical for \
-       the same history file."
-    in
-    Arg.(value & flag & info [ "render" ] ~doc)
-  in
-  let iso_today () =
-    let tm = Unix.gmtime (Unix.time ()) in
-    Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
-  in
-  let run verbose list_targets filter check seeded history_file record date
-      import tolerance window render stats =
-    setup_logs verbose;
-    let check = check || seeded in
-    if list_targets then begin
-      Printf.printf "%-20s %-10s %s\n" "key" "backend" "description";
-      List.iter
-        (fun (t : Sage_bench.Target.t) ->
-          Printf.printf "%-20s %-10s %s\n" t.Sage_bench.Target.key
-            t.Sage_bench.Target.backend t.Sage_bench.Target.descr)
-        Sage_bench.Target.all;
-      0
-    end
-    else
-      match Sage_bench.History.load history_file with
-      | Error msg ->
-        Printf.eprintf "sage bench: %s: %s\n" history_file msg;
-        1
-      | Ok history ->
-        if render then begin
-          print_string (Sage_bench.Render.page ~window history);
-          0
-        end
-        else begin
-          let selected = Sage_bench.Target.filter filter in
-          if selected = [] then begin
-            Printf.eprintf "sage bench: no target matches --filter %S\n"
-              filter;
-            1
-          end
-          else begin
-            let metrics = Sage_sched.Metrics.create () in
-            let current = Sage_bench.Target.run_all ~metrics ~filter () in
-            Printf.printf "%-20s %14s %8s  %s\n" "key" "ns/iter" "iters"
-              "backend";
-            List.iter
-              (fun (key, (s : Sage_bench.History.sample)) ->
-                Printf.printf "%-20s %14.1f %8d  %s\n" key
-                  s.Sage_bench.History.ns s.Sage_bench.History.iters
-                  s.Sage_bench.History.backend)
-              current;
-            let history =
-              match record with
-              | None -> history
-              | Some commit ->
-                let date =
-                  match date with Some d -> d | None -> iso_today ()
-                in
-                let imported =
-                  match import with
-                  | None -> []
-                  | Some file ->
-                    List.filter_map
-                      (fun (key, ns) ->
-                        if List.mem_assoc key current then None
-                        else
-                          Some
-                            ( key,
-                              {
-                                Sage_bench.History.ns;
-                                iters = 1;
-                                backend = "snapshot";
-                              } ))
-                      (Sage_bench.Snapshot.load file)
-                in
-                let record =
-                  {
-                    Sage_bench.History.commit;
-                    date;
-                    entries = imported @ current;
-                  }
-                in
-                let history = Sage_bench.History.append history record in
-                Sage_bench.History.save history_file history;
-                Printf.printf
-                  "\n(recorded %d entr%s as commit %s (%s) in %s)\n"
-                  (List.length record.Sage_bench.History.entries)
-                  (if List.length record.Sage_bench.History.entries = 1
-                   then "y"
-                   else "ies")
-                  commit date history_file;
-                history
-            in
-            let code =
-              if not check then 0
-              else begin
-                let checked =
-                  if seeded then Sage_bench.Seeded_regression.tamper current
-                  else current
-                in
-                let expected =
-                  List.map
-                    (fun (t : Sage_bench.Target.t) -> t.Sage_bench.Target.key)
-                    selected
-                in
-                let report =
-                  Sage_bench.Regress.check
-                    ?default_tolerance:
-                      (Option.map (fun p -> p /. 100.) tolerance)
-                    ~window ~tolerance_of:Sage_bench.Target.tolerance_of
-                    ~history ~expected ~current:checked ()
-                in
-                let count f =
-                  List.length (List.filter f report.Sage_bench.Regress.lines)
-                in
-                Sage_sched.Metrics.incr metrics "bench.regressions"
-                  ~by:
-                    (count (fun l ->
-                         match l.Sage_bench.Regress.status with
-                         | Sage_bench.Regress.Regressed _ -> true
-                         | _ -> false));
-                Sage_sched.Metrics.incr metrics "bench.new"
-                  ~by:
-                    (count (fun l ->
-                         l.Sage_bench.Regress.status
-                         = Sage_bench.Regress.New_key));
-                print_newline ();
-                print_string (Sage_bench.Regress.render report);
-                Sage_bench.Regress.exit_code report
-              end
-            in
-            if stats then begin
-              print_newline ();
-              print_string (Sage.Report.metrics_stats ~title:"bench" metrics)
-            end;
-            code
-          end
-        end
-  in
-  let doc =
-    "Run the stage benchmark suite (nlp, ccg-parse, winnow, codegen, \
-     analysis-dataflow, interp/iter, sim-pps) from the shared target \
-     registry, append per-commit results to the BENCH_history.json \
-     trajectory, gate the current run against the recorded baseline \
-     (median of the last K, per-key noise tolerance) and render the \
-     BENCH.md sparkline page."
-  in
-  Cmd.v (Cmd.info "bench" ~doc)
-    Term.(const run $ verbose_arg $ list_arg $ filter_arg $ check_arg
-          $ seeded_regression_arg $ history_arg $ record_arg $ date_arg
-          $ import_arg $ tolerance_arg $ window_arg $ render_arg $ stats_arg)
-
-(* ------------------------------------------------------------------ *)
 (* main                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -1404,7 +1181,7 @@ let main_cmd =
     [
       parse_cmd; derivation_cmd; run_cmd; code_cmd; analyze_cmd;
       ambiguities_cmd; interop_cmd; corpus_cmd; reqs_cmd; fuzz_cmd;
-      chaos_cmd; report_cmd; bench_cmd;
+      chaos_cmd; report_cmd;
     ]
 
 (* exit 2 on CLI usage errors (unknown flags, malformed values) — the

@@ -28,11 +28,14 @@ let summary run =
     (List.length run.Pipeline.codegen.Pipeline.non_actionable)
     (List.length run.Pipeline.codegen.Pipeline.functions)
 
-(* The subsystem counter blocks below are shared between [stats] (a
-   pipeline run's metrics) and [metrics_stats] (a bare metrics sink,
-   e.g. `sage bench --stats`): each block renders only when its
-   subsystem actually ran. *)
-let counter_blocks buf m =
+let stats run =
+  let m = run.Pipeline.metrics in
+  let buf = Buffer.create 512 in
+  Buffer.add_string buf
+    (Printf.sprintf "# Stage metrics: %s\n\n"
+       run.Pipeline.document.Sage_rfc.Document.title);
+  Buffer.add_string buf (Sage_sched.Metrics.summary m);
+  (* each subsystem's counter block renders only when it actually ran *)
   let hits = Sage_sched.Metrics.counter m "cache_hits" in
   let misses = Sage_sched.Metrics.counter m "cache_misses" in
   if hits + misses > 0 then
@@ -69,32 +72,6 @@ let counter_blocks buf m =
          reqs_mined
          (Sage_sched.Metrics.counter m "reqs.compiled")
          (Sage_sched.Metrics.counter m "reqs.checkable"));
-  let bench_targets = Sage_sched.Metrics.counter m "bench.targets" in
-  if bench_targets > 0 then
-    Buffer.add_string buf
-      (Printf.sprintf
-         "\nbench: %d target(s) measured, %d regressed, %d new baseline(s)\n"
-         bench_targets
-         (Sage_sched.Metrics.counter m "bench.regressions")
-         (Sage_sched.Metrics.counter m "bench.new"))
-
-let stats run =
-  let m = run.Pipeline.metrics in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf "# Stage metrics: %s\n\n"
-       run.Pipeline.document.Sage_rfc.Document.title);
-  Buffer.add_string buf (Sage_sched.Metrics.summary m);
-  counter_blocks buf m;
-  Buffer.contents buf
-
-(* Metrics-only stats: the same rendering for commands that have a
-   metrics sink but no pipeline run attached (`sage bench --stats`). *)
-let metrics_stats ?(title = "metrics") m =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf (Printf.sprintf "# Stage metrics: %s\n\n" title);
-  Buffer.add_string buf (Sage_sched.Metrics.summary m);
-  counter_blocks buf m;
   Buffer.contents buf
 
 let rewrite_worklist run =

@@ -29,9 +29,3 @@ val stats : Pipeline.run -> string
     hit rate).  Timing-dependent, so deliberately {e not} part of
     {!markdown}: the markdown report stays byte-identical across
     sequential, parallel and cache-warm runs. *)
-
-val metrics_stats : ?title:string -> Sage_sched.Metrics.t -> string
-(** The same stage-metrics rendering (summary plus the per-subsystem
-    counter blocks: cache, fuzz, chaos, requirements, bench) for a bare
-    metrics sink with no pipeline run attached — what
-    [sage bench --stats] prints. *)

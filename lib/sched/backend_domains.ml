@@ -1,7 +1,6 @@
 (* OCaml >= 5 backend: real domains and mutexes.  Copied to
    sched_backend.ml by a dune rule when the compiler supports it. *)
 
-let available = true
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 let self_id () = (Domain.self () :> int)
 

@@ -3,7 +3,6 @@
    in-line, so the work-queue in Pool still drains every job — on the
    caller's own thread — and locks cost nothing. *)
 
-let available = false
 let default_jobs () = 1
 let self_id () = 0
 

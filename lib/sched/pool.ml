@@ -1,13 +1,16 @@
-let available = Sched_backend.available
 let default_jobs = Sched_backend.default_jobs
 
 let no_hook (_ : int) body = body ()
 
 let map ?(around_worker = no_hook) ~jobs f items =
   let n = Array.length items in
-  let jobs = min jobs n in
+  (* workers beyond the item count or the host's cores only contend;
+     the host count is 1 on the sequential fallback *)
+  let jobs =
+    if jobs <= 1 then jobs else min (min jobs n) (Sched_backend.default_jobs ())
+  in
   if n = 0 then [||]
-  else if jobs <= 1 || not Sched_backend.available then begin
+  else if jobs <= 1 then begin
     let out = ref [||] in
     around_worker 0 (fun () -> out := Array.map f items);
     !out

@@ -8,9 +8,6 @@
     indices from a shared atomic counter, so jobs of uneven cost
     balance automatically. *)
 
-val available : bool
-(** Whether calls with [jobs > 1] can actually run in parallel. *)
-
 val default_jobs : unit -> int
 (** Recommended [jobs] for this host ([1] on the sequential fallback). *)
 
@@ -21,8 +18,10 @@ val map :
   'a array ->
   'b array
 (** [map ~jobs f items] applies [f] to every element, using up to [jobs]
-    workers (including the calling thread).  [jobs <= 1], a singleton or
-    empty input, or a fallback build all degrade to plain [Array.map].
+    workers (including the calling thread), but never more workers than
+    items or than {!default_jobs}: extra domains on a busy host only
+    contend.  [jobs <= 1], a singleton or empty input, or a fallback
+    build all degrade to plain [Array.map].
     If any [f] raises, remaining queued jobs are abandoned and the first
     exception (by completion time) is re-raised after all workers
     join.

@@ -7,9 +7,6 @@
     so every caller compiles and runs — just without parallelism.
     {!Pool} and {!Metrics} are written against this signature only. *)
 
-val available : bool
-(** Whether true parallel execution is compiled in (OCaml >= 5). *)
-
 val default_jobs : unit -> int
 (** The recommended worker count for this host: the runtime's
     recommended domain count on OCaml 5, always [1] on the fallback. *)

@@ -77,53 +77,6 @@ let test_trace_text_snapshot c () =
 
 let trace_snapshot_corpora = [ "icmp"; "igmp" ]
 
-(* The BENCH.md page from a pinned synthetic history: Render.page is a
-   pure function of the history (no clocks, no measurement), so the
-   exact markdown — sparklines included — snapshots like any report and
-   is byte-identical across runs and --jobs values. *)
-module BH = Sage_bench.History
-
-let bench_history =
-  let s ns iters backend = { BH.ns; iters; backend } in
-  List.fold_left BH.append BH.empty
-    [
-      {
-        BH.commit = "0";
-        date = "2026-08-01";
-        entries =
-          [
-            ("interp/iter", s 15000.0 300 "interp");
-            ("nlp", s 5500.0 1000 "nlp");
-            ("winnow", s 220000.0 500 "disambig");
-          ];
-      };
-      {
-        BH.commit = "a1b2c3d";
-        date = "2026-08-02";
-        entries =
-          [
-            ("interp/iter", s 15500.0 300 "interp");
-            ("nlp", s 5200.0 1000 "nlp");
-            ("sim-pps", s 19000.0 50 "sim");
-            ("winnow", s 230000.0 500 "disambig");
-          ];
-      };
-      {
-        BH.commit = "e4f5a6b";
-        date = "2026-08-03";
-        entries =
-          [
-            ("interp/iter", s 15200.0 300 "interp");
-            ("nlp", s 6000.0 1000 "nlp");
-            ("sim-pps", s 18500.0 50 "sim");
-            ("winnow", s 210000.0 500 "disambig");
-          ];
-      };
-    ]
-
-let test_bench_page_snapshot () =
-  compare_snapshot "bench.page.md" (Sage_bench.Render.page bench_history)
-
 let suite =
   List.concat_map
     (fun c ->
@@ -136,4 +89,3 @@ let suite =
         [ tc (c.C.name ^ " trace-text snapshot") (test_trace_text_snapshot c) ]
       else [])
     C.corpora
-  @ [ tc "bench page snapshot" test_bench_page_snapshot ]

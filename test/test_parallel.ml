@@ -23,7 +23,21 @@ let test_pool_order_preserved () =
         (Printf.sprintf "jobs=%d" jobs)
         (Array.to_list expected)
         (Array.to_list (Pool.map ~jobs (fun i -> i * i) items)))
-    [ 1; 2; 4; 8 ]
+    [ 1; 2; 4; 8 ];
+  (* asking for far more workers than cores runs at most one per core *)
+  let seen = Array.make 64 false in
+  let around_worker id body =
+    seen.(id) <- true;
+    body ()
+  in
+  check
+    Alcotest.(list int)
+    "jobs=64" (Array.to_list expected)
+    (Array.to_list (Pool.map ~around_worker ~jobs:64 (fun i -> i * i) items));
+  let workers = Array.fold_left (fun k b -> if b then k + 1 else k) 0 seen in
+  if workers > Pool.default_jobs () then
+    Alcotest.failf "jobs=64 ran %d workers on a %d-core host" workers
+      (Pool.default_jobs ())
 
 let test_pool_uneven_costs () =
   (* jobs of very different cost still land at their own index *)

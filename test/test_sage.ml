@@ -31,7 +31,6 @@ let () =
       ("reqs", Test_reqs.suite);
       ("backend", Test_backend.suite);
       ("chaos", Test_chaos.suite);
-      ("bench", Test_bench.suite);
       ("cli", Test_cli.suite);
       ("seeded-matrix", Test_seeded_matrix.suite);
       ("stateful", Test_stateful.suite);
