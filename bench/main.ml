@@ -33,6 +33,7 @@ module Rt = Sage_interp.Runtime
 module Pcap = Sage_net.Pcap
 module Tcpdump = Sage_net.Tcpdump
 module Components = Sage_corpus.Components
+module Corpora = Sage.Corpora
 
 let a = Addr.of_string_exn
 
@@ -48,23 +49,17 @@ let contains haystack needle =
 
 let truncate_sentence n s = if String.length s <= n then s else String.sub s 0 (n - 3) ^ "..."
 
-(* cached pipeline runs *)
-let icmp_orig =
-  lazy (P.run (P.icmp_spec ()) ~title:"icmp" ~text:Sage_corpus.Icmp_rfc.text)
-
-let icmp_rewr =
-  lazy (P.run (P.icmp_spec ()) ~title:"icmp" ~text:Sage_corpus.Icmp_rfc.rewritten_text)
-
-let igmp_run =
-  lazy (P.run (P.igmp_spec ()) ~title:"igmp" ~text:Sage_corpus.Igmp_rfc.text)
-
-let ntp_run = lazy (P.run (P.ntp_spec ()) ~title:"ntp" ~text:Sage_corpus.Ntp_rfc.text)
-
-let bfd_orig =
-  lazy (P.run (P.bfd_spec ()) ~title:"bfd" ~text:Sage_corpus.Bfd_rfc.text)
-
-let bfd_rewr =
-  lazy (P.run (P.bfd_spec ()) ~title:"bfd" ~text:Sage_corpus.Bfd_rfc.rewritten_text)
+(* pipeline runs of the registry's corpora, each computed once *)
+let corpus_run =
+  let runs = Hashtbl.create 8 in
+  fun ?(rewritten = false) protocol ->
+    let c = Option.get (Corpora.lookup protocol ~rewritten) in
+    match Hashtbl.find_opt runs c.Corpora.name with
+    | Some r -> r
+    | None ->
+      let r = Corpora.run c in
+      Hashtbl.replace runs c.Corpora.name r;
+      r
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: student error categories.                                  *)
@@ -143,7 +138,7 @@ let table4 () =
     Printf.printf
       "CONTEXT | {\"protocol\": \"ICMP\", \"message\": \"Destination \
        Unreachable Message\", \"field\": \"type\", \"role\": \"\"}\n";
-    let run = Lazy.force icmp_orig in
+    let run = corpus_run Corpora.Icmp in
     let f = Option.get (P.find_function run "icmp_destination_unreachable_sender") in
     let line =
       List.find_map
@@ -200,7 +195,7 @@ let table6 () =
   header
     "Table 6: Categorized rewritten ICMP (RFC 792) text\n\
      (paper: 4 instances with >1 LF, 1 with 0 LF, 6 imprecise)";
-  let run = Lazy.force icmp_orig in
+  let run = corpus_run Corpora.Icmp in
   let ambiguous = P.ambiguous_sentences run in
   let zero = P.zero_lf_sentences run in
   let imprecise =
@@ -403,9 +398,9 @@ let fig5 () =
   header
     "Figure 5: Number of LFs after inconsistency checks (Base -> Type ->\n\
      ArgOrd -> PredOrd -> Distrib -> Assoc), min/avg/max per corpus";
-  fig5_one "a: ICMP" (Lazy.force icmp_orig);
-  fig5_one "b: IGMP" (Lazy.force igmp_run);
-  fig5_one "c: BFD" (Lazy.force bfd_rewr);
+  fig5_one "a: ICMP" (corpus_run Corpora.Icmp);
+  fig5_one "b: IGMP" (corpus_run Corpora.Igmp);
+  fig5_one "c: BFD" (corpus_run ~rewritten:true Corpora.Bfd);
   Printf.printf
     "\n(paper: ICMP sentences start at 2-46 LFs, BFD up to 56; all reach 1\n\
      after the associativity check, except truly ambiguous sentences)\n"
@@ -461,7 +456,7 @@ let e2e_pcap () =
   header
     "6.2 Packet-capture verification: every generated message type stored\n\
      in a pcap capture and inspected tcpdump-style";
-  let st = Gs.of_run (Lazy.force icmp_rewr) in
+  let st = Gs.of_run (corpus_run ~rewritten:true Corpora.Icmp) in
   let cap = Pcap.create () in
   let original =
     let payload = Bytes.make 16 'q' in
@@ -556,8 +551,9 @@ let e2e_interop () =
        then "valid"
        else "INVALID")
   in
-  run_against "rewritten (disambiguated)" (Lazy.force icmp_rewr);
-  run_against "original RFC text" (Lazy.force icmp_orig);
+  run_against "rewritten (disambiguated)"
+    (corpus_run ~rewritten:true Corpora.Icmp);
+  run_against "original RFC text" (corpus_run Corpora.Icmp);
   Printf.printf
     "\n(paper: the disambiguated spec interoperates perfectly; the original\n\
      text's under-specified identifier sentence breaks ping, which is how\n\
@@ -565,7 +561,7 @@ let e2e_interop () =
 
 let generality () =
   header "6.3 Generality: IGMP and NTP";
-  let igmp = Lazy.force igmp_run in
+  let igmp = corpus_run Corpora.Igmp in
   Printf.printf "IGMP: %d sentences, %d parsed, %d functions, %d codegen failures\n"
     (List.length igmp.P.sentences)
     (List.length (P.parsed_sentences igmp))
@@ -602,7 +598,7 @@ let generality () =
           reports
       | Error e -> Printf.printf "  switch rejected the query: %s\n" e)
    | Error e -> Printf.printf "  query FAILED: %s\n" e);
-  let ntp = Lazy.force ntp_run in
+  let ntp = corpus_run Corpora.Ntp in
   Printf.printf "\nNTP: %d sentences, %d parsed, %d codegen failures\n"
     (List.length ntp.P.sentences)
     (List.length (P.parsed_sentences ntp))
@@ -625,8 +621,8 @@ let generality () =
 
 let bfd_target () =
   header "6.4 BFD state management";
-  let orig = Lazy.force bfd_orig in
-  let rewr = Lazy.force bfd_rewr in
+  let orig = corpus_run Corpora.Bfd in
+  let rewr = corpus_run ~rewritten:true Corpora.Bfd in
   Printf.printf "original : %d sentences, %d parsed, %d zero-LF, %d ambiguous\n"
     (List.length orig.P.sentences)
     (List.length (P.parsed_sentences orig))
@@ -747,7 +743,7 @@ let stats () =
   Printf.printf "%-46s %9d %8s\n" "interpreter framework builtins"
     (List.length Sage_interp.Exec.builtin_names)
     "-";
-  let icmp = Lazy.force icmp_orig in
+  let icmp = corpus_run Corpora.Icmp in
   Printf.printf "%-46s %9d %8s\n" "ICMP corpus sentence instances"
     (List.length icmp.P.sentences)
     "87"
@@ -802,7 +798,7 @@ let extensions () =
     "7 Extensions: TCP (RFC 793 excerpt) with the BFD-level lexicon —\n\
      header format and simple constraints parse today; state-machine prose\n\
      is the measurable gap";
-  let run = P.run (P.tcp_spec ()) ~title:"tcp" ~text:Sage_corpus.Tcp_rfc.text in
+  let run = corpus_run Corpora.Tcp in
   Printf.printf
     "sentences %d, parsed %d, zero-LF %d, ambiguous %d, annotated %d\n\n"
     (List.length run.P.sentences)
@@ -834,7 +830,7 @@ let extensions () =
   Printf.printf
     "\nBGP (RFC 4271 OPEN + FSM prose): the FSM is specified in prose, the\n\
      state-management style SAGE already parses\n\n";
-  let bgp = P.run (P.bgp_spec ()) ~title:"bgp" ~text:Sage_corpus.Bgp_rfc.text in
+  let bgp = corpus_run Corpora.Bgp in
   Printf.printf "sentences %d, parsed %d, zero-LF %d, codegen failures %d\n"
     (List.length bgp.P.sentences)
     (List.length (P.parsed_sentences bgp))
@@ -944,26 +940,14 @@ let static_analysis () =
      coverage against the recovered layouts, dead code, width/overflow\n\
      and checksum ordering, per corpus.  Every shipped corpus must be\n\
      free of Error-severity findings.";
-  let corpora =
-    [
-      ("icmp", P.icmp_spec (), Sage_corpus.Icmp_rfc.text);
-      ("icmp-rw", P.icmp_spec (), Sage_corpus.Icmp_rfc.rewritten_text);
-      ("igmp", P.igmp_spec (), Sage_corpus.Igmp_rfc.text);
-      ("ntp", P.ntp_spec (), Sage_corpus.Ntp_rfc.text);
-      ("bfd", P.bfd_spec (), Sage_corpus.Bfd_rfc.text);
-      ("bfd-rw", P.bfd_spec (), Sage_corpus.Bfd_rfc.rewritten_text);
-      ("tcp", P.tcp_spec (), Sage_corpus.Tcp_rfc.text);
-      ("bgp", P.bgp_spec (), Sage_corpus.Bgp_rfc.text);
-    ]
-  in
   Printf.printf "%-10s %8s %8s %10s %12s\n" "corpus" "errors" "warnings"
     "functions" "analysis-ns";
   let total_ns = ref 0L in
   let clean = ref true in
   List.iter
-    (fun (name, spec, text) ->
+    (fun (c : Corpora.t) ->
       let metrics = Sage_sched.Metrics.create () in
-      let run = P.run_document ~jobs:1 ~metrics spec ~title:name ~text in
+      let run = Corpora.run ~jobs:1 ~metrics c in
       let module D = Sage_analysis.Diagnostic in
       let ns =
         match List.assoc_opt "analysis" (Sage_sched.Metrics.stage_ns metrics) with
@@ -972,12 +956,12 @@ let static_analysis () =
       in
       total_ns := Int64.add !total_ns ns;
       if D.has_errors run.P.diagnostics then clean := false;
-      Printf.printf "%-10s %8d %8d %10d %12Ld\n" name
+      Printf.printf "%-10s %8d %8d %10d %12Ld\n" c.name
         (D.errors run.P.diagnostics)
         (D.warnings run.P.diagnostics)
         (List.length run.P.codegen.P.functions)
         ns)
-    corpora;
+    Corpora.all;
   Printf.printf "\ntotal analysis time: %.2f ms — %s\n"
     (Int64.to_float !total_ns /. 1e6)
     (if !clean then "all corpora Error-free"

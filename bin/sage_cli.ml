@@ -24,30 +24,28 @@ open Cmdliner
 (* Common arguments.                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type protocol = Icmp | Igmp | Ntp | Bfd | Tcp | Bgp
+module Corpora = Sage.Corpora
 
-let protocol_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "icmp" -> Ok Icmp
-    | "igmp" -> Ok Igmp
-    | "ntp" -> Ok Ntp
-    | "bfd" -> Ok Bfd
-    | "tcp" -> Ok Tcp
-    | "bgp" -> Ok Bgp
-    | other -> Error (`Msg (Printf.sprintf "unknown protocol %S" other))
-  in
-  let print ppf p =
-    Fmt.string ppf
-      (match p with
-       | Icmp -> "icmp" | Igmp -> "igmp" | Ntp -> "ntp" | Bfd -> "bfd"
-       | Tcp -> "tcp" | Bgp -> "bgp")
-  in
-  Arg.conv (parse, print)
-
+(* -p names a protocol by its original corpus; --rewritten then selects
+   that protocol's rewrite *)
 let protocol_arg =
-  let doc = "Protocol corpus to use: icmp, igmp, ntp, bfd, tcp or bgp." in
-  Arg.(value & opt protocol_conv Icmp & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc)
+  let originals = List.filter (fun c -> not c.Corpora.rewritten) Corpora.all in
+  let parse s =
+    let s = String.lowercase_ascii s in
+    match List.find_opt (fun c -> c.Corpora.name = s) originals with
+    | Some c -> Ok c
+    | None -> Error (`Msg (Printf.sprintf "unknown protocol %S" s))
+  in
+  let print ppf c = Fmt.string ppf c.Corpora.name in
+  let names = List.rev_map (fun c -> c.Corpora.name) originals in
+  let doc =
+    Printf.sprintf "Protocol corpus to use: %s or %s."
+      (String.concat ", " (List.rev (List.tl names)))
+      (List.hd names)
+  in
+  Arg.(value
+       & opt (conv (parse, print)) (List.hd originals)
+       & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc)
 
 let rewritten_arg =
   let doc =
@@ -55,6 +53,30 @@ let rewritten_arg =
      RFC text."
   in
   Arg.(value & flag & info [ "rewritten" ] ~doc)
+
+(* the corpus that -p and --rewritten select together; asking for the
+   rewrite of a protocol that has none is a usage error *)
+let corpus_term =
+  let resolve (c : Corpora.t) rewritten =
+    match Corpora.lookup c.Corpora.protocol ~rewritten with
+    | Some c -> `Ok c
+    | None ->
+      let with_rewrite =
+        List.filter_map
+          (fun c ->
+            if c.Corpora.rewritten then
+              Some (Corpora.protocol_name c.Corpora.protocol)
+            else None)
+          Corpora.all
+      in
+      `Error
+        ( true,
+          Printf.sprintf
+            "--rewritten: %s has no rewritten text (protocols with one: %s)"
+            c.Corpora.name
+            (String.concat ", " with_rewrite) )
+  in
+  Term.(ret (const resolve $ protocol_arg $ rewritten_arg))
 
 let verbose_arg =
   let doc = "Verbose logging." in
@@ -201,25 +223,6 @@ let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
 
-let spec_of = function
-  | Icmp -> P.icmp_spec ()
-  | Igmp -> P.igmp_spec ()
-  | Ntp -> P.ntp_spec ()
-  | Bfd -> P.bfd_spec ()
-  | Tcp -> P.tcp_spec ()
-  | Bgp -> P.bgp_spec ()
-
-let corpus_of proto rewritten =
-  match proto, rewritten with
-  | Icmp, false -> (Sage_corpus.Icmp_rfc.title, Sage_corpus.Icmp_rfc.text)
-  | Icmp, true -> (Sage_corpus.Icmp_rfc.title, Sage_corpus.Icmp_rfc.rewritten_text)
-  | Igmp, _ -> (Sage_corpus.Igmp_rfc.title, Sage_corpus.Igmp_rfc.text)
-  | Ntp, _ -> (Sage_corpus.Ntp_rfc.title, Sage_corpus.Ntp_rfc.text)
-  | Bfd, false -> (Sage_corpus.Bfd_rfc.title, Sage_corpus.Bfd_rfc.text)
-  | Bfd, true -> (Sage_corpus.Bfd_rfc.title, Sage_corpus.Bfd_rfc.rewritten_text)
-  | Tcp, _ -> (Sage_corpus.Tcp_rfc.title, Sage_corpus.Tcp_rfc.text)
-  | Bgp, _ -> (Sage_corpus.Bgp_rfc.title, Sage_corpus.Bgp_rfc.text)
-
 let status_string = function
   | P.Parsed _ -> "parsed (1 LF)"
   | P.Subject_supplied _ -> "parsed (subject supplied)"
@@ -243,7 +246,7 @@ let parse_cmd =
   in
   let run proto verbose field sentence =
     setup_logs verbose;
-    let spec = spec_of proto in
+    let spec = proto.Corpora.spec () in
     (* chunking *)
     let chunks = Chunker.chunk_sentence ~dict:spec.P.dictionary sentence in
     Printf.printf "chunks   : %s\n"
@@ -291,7 +294,7 @@ let derivation_cmd =
   in
   let run proto verbose sentence =
     setup_logs verbose;
-    let spec = spec_of proto in
+    let spec = proto.Corpora.spec () in
     let result =
       Parser.parse ~lexicon:spec.P.lexicon ~dict:spec.P.dictionary sentence
     in
@@ -314,21 +317,19 @@ let derivation_cmd =
 (* sage run                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let run_pipeline ?(jobs = 1) ?cache_cap ?trace proto rewritten =
-  let spec = spec_of proto in
-  let title, text = corpus_of proto rewritten in
+let run_pipeline ?(jobs = 1) ?cache_cap ?trace corpus =
   let jobs = if jobs <= 0 then Sage_sched.Pool.default_jobs () else jobs in
   let cache =
     Option.map (fun capacity -> Sage.Chart_cache.create ~capacity ()) cache_cap
   in
-  P.run_document ~jobs ?cache ?trace spec ~title ~text
+  Corpora.run ~jobs ?cache ?trace corpus
 
 let run_cmd =
-  let run proto verbose rewritten jobs cache_cap stats analyze fail_on
-      trace_file trace_format trace_clock =
+  let run corpus verbose jobs cache_cap stats analyze fail_on trace_file
+      trace_format trace_clock =
     setup_logs verbose;
     with_trace ~clock:trace_clock trace_file trace_format @@ fun trace ->
-    let result = run_pipeline ~jobs ?cache_cap ?trace proto rewritten in
+    let result = run_pipeline ~jobs ?cache_cap ?trace corpus in
     Printf.printf "document  : %s\n" result.P.document.Sage_rfc.Document.title;
     Printf.printf "sections  : %d\n"
       (List.length result.P.document.Sage_rfc.Document.sections);
@@ -372,8 +373,8 @@ let run_cmd =
   let doc = "Run the full pipeline (parse, winnow, generate) over a corpus." in
   Cmd.v
     (Cmd.info "run" ~doc)
-    Term.(const run $ protocol_arg $ verbose_arg $ rewritten_arg $ jobs_arg
-          $ cache_arg $ stats_arg $ analyze_arg $ fail_on_arg $ trace_arg
+    Term.(const run $ corpus_term $ verbose_arg $ jobs_arg $ cache_arg
+          $ stats_arg $ analyze_arg $ fail_on_arg $ trace_arg
           $ trace_format_arg $ trace_clock_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -385,9 +386,9 @@ let code_cmd =
     let doc = "Print only this generated function." in
     Arg.(value & opt (some string) None & info [ "f"; "function" ] ~docv:"NAME" ~doc)
   in
-  let run proto verbose rewritten jobs fn =
+  let run corpus verbose jobs fn =
     setup_logs verbose;
-    let result = run_pipeline ~jobs proto rewritten in
+    let result = run_pipeline ~jobs corpus in
     (match fn with
      | None -> print_string result.P.codegen.P.c_code
      | Some name ->
@@ -403,8 +404,7 @@ let code_cmd =
   let doc = "Print the generated C code (structs, framework, functions)." in
   Cmd.v
     (Cmd.info "code" ~doc)
-    Term.(const run $ protocol_arg $ verbose_arg $ rewritten_arg $ jobs_arg
-          $ fn_arg)
+    Term.(const run $ corpus_term $ verbose_arg $ jobs_arg $ fn_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage analyze                                                        *)
@@ -449,10 +449,10 @@ let analyze_cmd =
     in
     Arg.(value & flag & info [ "seeded-divergence" ] ~doc)
   in
-  let run proto verbose rewritten jobs cache_cap strict fail_on prove
-      seeded_wedge seeded_divergence format =
+  let run corpus verbose jobs cache_cap strict fail_on prove seeded_wedge
+      seeded_divergence format =
     setup_logs verbose;
-    let result = run_pipeline ~jobs ?cache_cap proto rewritten in
+    let result = run_pipeline ~jobs ?cache_cap corpus in
     let funcs = result.P.codegen.P.functions in
     let funcs =
       if seeded_wedge then Sage_chaos.Seeded_wedge.tamper_fsm funcs else funcs
@@ -513,8 +513,8 @@ let analyze_cmd =
   in
   Cmd.v
     (Cmd.info "analyze" ~doc)
-    Term.(const run $ protocol_arg $ verbose_arg $ rewritten_arg $ jobs_arg
-          $ cache_arg $ strict_arg $ fail_on_arg $ prove_arg
+    Term.(const run $ corpus_term $ verbose_arg $ jobs_arg $ cache_arg
+          $ strict_arg $ fail_on_arg $ prove_arg
           $ seeded_wedge_arg $ seeded_divergence_arg $ format_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -522,9 +522,9 @@ let analyze_cmd =
 (* ------------------------------------------------------------------ *)
 
 let ambiguities_cmd =
-  let run proto verbose rewritten jobs =
+  let run corpus verbose jobs =
     setup_logs verbose;
-    let result = run_pipeline ~jobs proto rewritten in
+    let result = run_pipeline ~jobs corpus in
     let ambiguous = P.ambiguous_sentences result in
     let zero = P.zero_lf_sentences result in
     if ambiguous = [] && zero = [] then begin
@@ -563,7 +563,7 @@ let ambiguities_cmd =
   in
   Cmd.v
     (Cmd.info "ambiguities" ~doc)
-    Term.(const run $ protocol_arg $ verbose_arg $ rewritten_arg $ jobs_arg)
+    Term.(const run $ corpus_term $ verbose_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* execution backend selection (interop / fuzz / chaos)                *)
@@ -616,7 +616,9 @@ let interop_cmd =
     in
     let under_faults = Option.is_some faults in
     with_trace ~clock:trace_clock trace_file trace_format @@ fun trace ->
-    let result = run_pipeline ?trace Icmp rewritten in
+    let result =
+      run_pipeline ?trace (Option.get (Corpora.lookup Corpora.Icmp ~rewritten))
+    in
     let stack = Sage_sim.Generated_stack.of_run ?trace ~backend result in
     let service = Sage_sim.Icmp_service.generated stack in
     let net = Sage_sim.Network.default_topology ~service ?faults ?trace () in
@@ -698,10 +700,9 @@ let interop_cmd =
 (* ------------------------------------------------------------------ *)
 
 let corpus_cmd =
-  let run proto verbose rewritten =
+  let run (corpus : Corpora.t) verbose =
     setup_logs verbose;
-    let title, text = corpus_of proto rewritten in
-    let doc = Sage_rfc.Document.parse ~title text in
+    let doc = Sage_rfc.Document.parse ~title:corpus.title corpus.text in
     Fmt.pr "%a@." Sage_rfc.Document.pp doc;
     List.iter
       (fun (s : Sage_rfc.Document.section) ->
@@ -715,7 +716,7 @@ let corpus_cmd =
   let doc = "Show the pre-processed document structure and recovered structs." in
   Cmd.v
     (Cmd.info "corpus" ~doc)
-    Term.(const run $ protocol_arg $ verbose_arg $ rewritten_arg)
+    Term.(const run $ corpus_term $ verbose_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage reqs                                                           *)
@@ -736,29 +737,24 @@ let reqs_cmd =
     in
     Arg.(value & flag & info [ "corpus" ] ~doc)
   in
-  let run proto verbose rewritten jobs cache_cap corpus format =
+  let run corpus verbose jobs cache_cap all_corpora format =
     setup_logs verbose;
-    if corpus then begin
-      let corpora =
-        [ ("icmp", Icmp, false); ("icmp-rw", Icmp, true);
-          ("igmp", Igmp, false); ("ntp", Ntp, false);
-          ("bfd", Bfd, false); ("bfd-rw", Bfd, true);
-          ("tcp", Tcp, false); ("bgp", Bgp, false) ]
-      in
+    if all_corpora then begin
       Printf.printf "%-8s  %5s  %8s  %9s\n" "corpus" "mined" "compiled"
         "checkable";
       List.iter
-        (fun (name, proto, rewritten) ->
-          let result = run_pipeline ~jobs ?cache_cap proto rewritten in
+        (fun (c : Corpora.t) ->
+          let result = run_pipeline ~jobs ?cache_cap c in
           let mined, compiled, checkable =
             Sage_reqs.Render.summary_counts result.P.requirements
           in
-          Printf.printf "%-8s  %5d  %8d  %9d\n" name mined compiled checkable)
-        corpora;
+          Printf.printf "%-8s  %5d  %8d  %9d\n" c.name mined compiled
+            checkable)
+        Corpora.all;
       0
     end
     else begin
-      let result = run_pipeline ~jobs ?cache_cap proto rewritten in
+      let result = run_pipeline ~jobs ?cache_cap corpus in
       let protocol = result.P.spec.P.protocol in
       (match format with
        | `Text ->
@@ -783,8 +779,8 @@ let reqs_cmd =
      and cache states."
   in
   Cmd.v (Cmd.info "reqs" ~doc)
-    Term.(const run $ protocol_arg $ verbose_arg $ rewritten_arg $ jobs_arg
-          $ cache_arg $ corpus_arg $ format_arg)
+    Term.(const run $ corpus_term $ verbose_arg $ jobs_arg $ cache_arg
+          $ corpus_arg $ format_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage fuzz                                                           *)
@@ -848,13 +844,13 @@ let fuzz_cmd =
     in
     Arg.(value & flag & info [ "seeded-violation" ] ~doc)
   in
-  let run proto verbose rewritten jobs backend seed iters seeded_bug
+  let run corpus verbose jobs backend seed iters seeded_bug
       seeded_divergence check_proofs check_reqs seeded_violation coverage_out
       stats trace_file trace_format trace_clock =
     setup_logs verbose;
     with_trace ~clock:trace_clock trace_file trace_format @@ fun trace ->
     let check_reqs = check_reqs || seeded_violation in
-    let result = run_pipeline ~jobs ?trace proto rewritten in
+    let result = run_pipeline ~jobs ?trace corpus in
     let funcs = result.P.codegen.P.functions in
     let funcs =
       if seeded_bug then
@@ -942,8 +938,8 @@ let fuzz_cmd =
      nonzero when any oracle finding is reported."
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
-    Term.(const run $ protocol_arg $ verbose_arg $ rewritten_arg $ jobs_arg
-          $ backend_arg $ seed_arg $ iters_arg $ seeded_bug_arg
+    Term.(const run $ corpus_term $ verbose_arg $ jobs_arg $ backend_arg
+          $ seed_arg $ iters_arg $ seeded_bug_arg
           $ seeded_divergence_arg $ check_proofs_arg $ check_reqs_arg
           $ seeded_violation_arg $ coverage_out_arg $ stats_arg $ trace_arg
           $ trace_format_arg $ trace_clock_arg)
@@ -953,19 +949,18 @@ let fuzz_cmd =
 (* ------------------------------------------------------------------ *)
 
 let chaos_cmd =
-  let corpus_names =
-    [ "icmp"; "icmp-rw"; "igmp"; "ntp"; "bfd"; "bfd-rw"; "tcp"; "bgp" ]
-  in
   let chaos_corpus_conv =
     let parse s =
-      if List.mem s corpus_names then Ok s
-      else
+      match Corpora.find s with
+      | Some c -> Ok c
+      | None ->
         Error
           (`Msg
              (Printf.sprintf "unknown corpus %S (choose from %s)" s
-                (String.concat ", " corpus_names)))
+                (String.concat ", "
+                   (List.map (fun c -> c.Corpora.name) Corpora.all))))
     in
-    Arg.conv (parse, Fmt.string)
+    Arg.conv (parse, fun ppf c -> Fmt.string ppf c.Corpora.name)
   in
   let corpus_arg =
     let doc =
@@ -1065,42 +1060,25 @@ let chaos_cmd =
     else
       `Ok
         (with_trace ~clock:trace_clock trace_file trace_format @@ fun trace ->
-         let names = if corpora_sel = [] then corpus_names else corpora_sel in
-         (* one pipeline run per distinct (protocol, rewritten) backing,
-            shared across corpora *)
+         let selected = if corpora_sel = [] then Corpora.all else corpora_sel in
+         (* one pipeline run per distinct backing corpus, shared across
+            the corpora it backs *)
          let runs : (string, P.run) Hashtbl.t = Hashtbl.create 8 in
-         let pipeline_of name =
-           match Hashtbl.find_opt runs name with
+         let pipeline_of (c : Corpora.t) =
+           match Hashtbl.find_opt runs c.name with
            | Some r -> r
            | None ->
-             let proto, rewritten =
-               match name with
-               | "icmp" -> (Icmp, false)
-               | "icmp-rw" -> (Icmp, true)
-               | "igmp" -> (Igmp, false)
-               | "ntp" -> (Ntp, false)
-               | "bfd" -> (Bfd, false)
-               | "bfd-rw" -> (Bfd, true)
-               | "tcp" -> (Tcp, false)
-               | _ -> (Bgp, false)
-             in
-             let r = run_pipeline ~jobs ?trace proto rewritten in
-             Hashtbl.replace runs name r;
+             let r = run_pipeline ~jobs ?trace c in
+             Hashtbl.replace runs c.name r;
              r
-         in
-         (* the generated stack of an ambiguous original text does not
-            interoperate (§6.5); its cases run the disambiguated text *)
-         let gen_backing = function
-           | "icmp" -> "icmp-rw"
-           | "bfd" -> "bfd-rw"
-           | c -> c
          in
          let corpora =
            List.map
-             (fun name ->
-               { Sage_chaos.Campaign.corpus = name;
-                 generated_run = lazy (pipeline_of (gen_backing name)) })
-             names
+             (fun (c : Corpora.t) ->
+               { Sage_chaos.Campaign.corpus = c.name;
+                 generated_run =
+                   lazy (pipeline_of (Corpora.generated_backing c)) })
+             selected
          in
          let scenarios =
            match (scenario, schedule) with
@@ -1142,11 +1120,11 @@ let chaos_cmd =
 (* ------------------------------------------------------------------ *)
 
 let report_cmd =
-  let run proto verbose rewritten jobs cache_cap stats analyze fail_on
-      trace_file trace_format trace_clock =
+  let run corpus verbose jobs cache_cap stats analyze fail_on trace_file
+      trace_format trace_clock =
     setup_logs verbose;
     with_trace ~clock:trace_clock trace_file trace_format @@ fun trace ->
-    let result = run_pipeline ~jobs ?cache_cap ?trace proto rewritten in
+    let result = run_pipeline ~jobs ?cache_cap ?trace corpus in
     print_string (Sage.Report.markdown result);
     if stats then begin
       print_newline ();
@@ -1163,8 +1141,8 @@ let report_cmd =
   in
   Cmd.v
     (Cmd.info "report" ~doc)
-    Term.(const run $ protocol_arg $ verbose_arg $ rewritten_arg $ jobs_arg
-          $ cache_arg $ stats_arg $ analyze_arg $ fail_on_arg $ trace_arg
+    Term.(const run $ corpus_term $ verbose_arg $ jobs_arg $ cache_arg
+          $ stats_arg $ analyze_arg $ fail_on_arg $ trace_arg
           $ trace_format_arg $ trace_clock_arg)
 
 (* ------------------------------------------------------------------ *)

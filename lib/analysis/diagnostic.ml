@@ -112,23 +112,9 @@ let render_text ?(protocol = "") diags =
   end;
   Buffer.contents buf
 
-(* ---- JSON renderer (self-contained; stable field order) ---- *)
+(* ---- JSON renderer (stable field order) ---- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
+let json_str = Sage_json.Json.string
 
 let to_json d =
   let fields =

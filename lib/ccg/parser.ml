@@ -197,8 +197,8 @@ let expand_distribution lf =
   in
   variants lf
 
-let parse_chunks ?(target = Category.s) ?(expand_distributive = true)
-    ?(capacity = cell_capacity) ~lexicon chunks =
+let parse_chunks ?(expand_distributive = true) ?(capacity = cell_capacity)
+    ~lexicon chunks =
   let chunks = Array.of_list chunks in
   let n = Array.length chunks in
   if n = 0 then { items = []; lfs = []; truncated = false; chunks = [] }
@@ -235,7 +235,7 @@ let parse_chunks ?(target = Category.s) ?(expand_distributive = true)
       done
     done;
     let spanning =
-      List.filter (fun it -> Category.equal it.cat target) chart.(0).(n)
+      List.filter (fun it -> Category.equal it.cat Category.s) chart.(0).(n)
     in
     let lfs =
       spanning
@@ -251,8 +251,7 @@ let parse_chunks ?(target = Category.s) ?(expand_distributive = true)
     { items = spanning; lfs; truncated = !truncated; chunks = Array.to_list chunks }
   end
 
-let parse ?strategy ?target ?expand_distributive ?capacity ~lexicon ~dict
-    sentence =
+let parse ?strategy ?expand_distributive ?capacity ~lexicon ~dict sentence =
   let chunks = Chunker.chunk_sentence ?strategy ~dict sentence in
   (* drop the sentence-final period *)
   let chunks =
@@ -261,7 +260,7 @@ let parse ?strategy ?target ?expand_distributive ?capacity ~lexicon ~dict
       List.rev rest
     | _ -> chunks
   in
-  parse_chunks ?target ?expand_distributive ?capacity ~lexicon chunks
+  parse_chunks ?expand_distributive ?capacity ~lexicon chunks
 
 let rec pp_deriv ppf = function
   | Leaf (text, entry) ->

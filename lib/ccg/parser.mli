@@ -39,21 +39,19 @@ val cell_capacity : int
 
 val parse :
   ?strategy:Sage_nlp.Chunker.strategy ->
-  ?target:Category.t ->
   ?expand_distributive:bool ->
   ?capacity:int ->
   lexicon:Lexicon.t ->
   dict:Sage_nlp.Term_dictionary.t ->
   string ->
   result
-(** Parse one sentence.  [target] defaults to [S].  When
+(** Parse one sentence to category [S].  When
     [expand_distributive] (default [true]), coordinated left-hand sides of
     assignments additionally yield the distributed reading
     ["(A is C) and (B is C)"], emulating CCG's coordination over-generation
     (paper §4.1 "predicate distributivity"). *)
 
 val parse_chunks :
-  ?target:Category.t ->
   ?expand_distributive:bool ->
   ?capacity:int ->
   lexicon:Lexicon.t ->

@@ -9,7 +9,7 @@
     {!summary} output. *)
 
 type corpus_case = {
-  corpus : string;  (** CLI corpus spelling, e.g. ["bfd-rw"] *)
+  corpus : string;  (** a {!Sage.Corpora} name *)
   generated_run : Sage.Pipeline.run Lazy.t;
       (** pipeline run backing the generated stack; only forced for
           generated-stack cases (see {!Workload.for_corpus}) *)

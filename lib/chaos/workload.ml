@@ -612,11 +612,16 @@ let bgp ~stack ~run ?trace ?backend ?observer ~seed () =
 (* ------------------------------------------------------------------ *)
 
 let for_corpus ~corpus ~stack ~run ?trace ?backend ?observer ~seed () =
-  match corpus with
-  | "icmp" | "icmp-rw" -> Ok (icmp ~stack ~run ?trace ?backend ?observer ~seed ())
-  | "igmp" -> Ok (igmp ~stack ~run ?trace ?backend ?observer ~seed ())
-  | "ntp" -> Ok (ntp ~stack ~run ?trace ?backend ?observer ~seed ())
-  | "bfd" | "bfd-rw" -> Ok (bfd ~stack ~run ?trace ?backend ?observer ~seed ())
-  | "tcp" -> Ok (tcp ~stack ~run ?trace ?backend ?observer ~seed ())
-  | "bgp" -> Ok (bgp ~stack ~run ?trace ?backend ?observer ~seed ())
-  | c -> Error (Printf.sprintf "no chaos workload for corpus %S" c)
+  match Sage.Corpora.find corpus with
+  | None -> Error (Printf.sprintf "no chaos workload for corpus %S" corpus)
+  | Some c ->
+    let workload =
+      match c.Sage.Corpora.protocol with
+      | Icmp -> icmp
+      | Igmp -> igmp
+      | Ntp -> ntp
+      | Bfd -> bfd
+      | Tcp -> tcp
+      | Bgp -> bgp
+    in
+    Ok (workload ~stack ~run ?trace ?backend ?observer ~seed ())

@@ -45,12 +45,13 @@ val for_corpus :
   seed:int ->
   unit ->
   (t, string) result
-(** Build the workload for a corpus name ("icmp", "icmp-rw", "igmp",
-    "ntp", "bfd", "bfd-rw", "tcp", "bgp").  [run] backs the generated
-    stack and is only forced for [Generated]; for the ambiguous original
-    texts (icmp, bfd) callers pass the disambiguated run — the original
-    texts' interoperation failures are the fuzz/interop tiers' subject,
-    chaos asserts recovery of functioning stacks.  [observer] is handed
-    to the generated stack, seeing every generated-function execution
-    the workload performs (the campaign's requirement-assertion hook);
-    reference-stack workloads never invoke it. *)
+(** Build the workload for a {!Sage.Corpora} name; [Error] for a name
+    the registry does not hold.  [run] backs the generated stack and is
+    only forced for [Generated]; for the ambiguous original texts (icmp,
+    bfd) callers pass the run of {!Sage.Corpora.generated_backing} —
+    the original texts' interoperation failures are the fuzz/interop
+    tiers' subject, chaos asserts recovery of functioning stacks.
+    [observer] is handed to the generated stack, seeing every
+    generated-function execution the workload performs (the campaign's
+    requirement-assertion hook); reference-stack workloads never invoke
+    it. *)

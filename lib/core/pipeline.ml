@@ -171,8 +171,7 @@ let drop_terminator chunks =
     List.rev rest
   | _ -> chunks
 
-let analyze_sentence_body spec ?message ?field ?struct_def ?strategy ?cache
-    ?metrics ?trace sentence =
+let analyze_sentence_body spec ?message ?field ?cache ?metrics ?trace sentence =
   bump metrics "sentences";
   let annotated =
     List.exists (prefix_matches sentence) spec.annotated_non_actionable
@@ -187,7 +186,6 @@ let analyze_sentence_body spec ?message ?field ?struct_def ?strategy ?cache
       status = Annotated_non_actionable;
     }
   else begin
-    ignore struct_def;
     let parse chunks =
       let r =
         Chart_cache.parse ?cache ?metrics ?trace ~protocol:spec.protocol
@@ -200,7 +198,7 @@ let analyze_sentence_body spec ?message ?field ?struct_def ?strategy ?cache
     let chunks =
       timed metrics "chunk" (fun () ->
           drop_terminator
-            (Chunker.chunk_sentence ?strategy ~dict:spec.dictionary sentence))
+            (Chunker.chunk_sentence ~dict:spec.dictionary sentence))
     in
     let result = parse chunks in
     let winnowed lfs =
@@ -287,8 +285,7 @@ let analyze_sentence_body spec ?message ?field ?struct_def ?strategy ?cache
 (* Per-sentence span wrapper: the Begin event carries the sentence's
    provenance (clipped text, message, field), the End event its outcome
    (status + LF count before winnowing). *)
-let analyze_sentence spec ?message ?field ?struct_def ?strategy ?cache ?metrics
-    ?trace sentence =
+let analyze_sentence spec ?message ?field ?cache ?metrics ?trace sentence =
   let span_args =
     ("sentence", Trace.Str (clip sentence))
     :: ((match message with Some m -> [ ("message", Trace.Str m) ] | None -> [])
@@ -296,8 +293,7 @@ let analyze_sentence spec ?message ?field ?struct_def ?strategy ?cache ?metrics
   in
   let sp = Trace.span ~cat:"pipeline" ~args:span_args trace "sentence" in
   match
-    analyze_sentence_body spec ?message ?field ?struct_def ?strategy ?cache
-      ?metrics ?trace sentence
+    analyze_sentence_body spec ?message ?field ?cache ?metrics ?trace sentence
   with
   | report ->
     Trace.close trace sp
@@ -412,7 +408,6 @@ type section_plan = {
 type analysis_job = {
   job_field : string option;
   job_msg : string;
-  job_struct_def : Hd.t option;
   job_sentence : string;
 }
 
@@ -462,8 +457,7 @@ let run_document ?(jobs = 1) ?cache ?metrics ?trace spec ~title ~text =
         let prose ?field sentence =
           works :=
             new_job
-              { job_field = field; job_msg = msg; job_struct_def = struct_def;
-                job_sentence = sentence }
+              { job_field = field; job_msg = msg; job_sentence = sentence }
             :: !works
         in
         List.iter
@@ -506,8 +500,7 @@ let run_document ?(jobs = 1) ?cache ?metrics ?trace spec ~title ~text =
            whole document run *)
         match
           analyze_sentence spec ~message:job.job_msg ?field:job.job_field
-            ?struct_def:job.job_struct_def ?cache ?metrics ?trace
-            job.job_sentence
+            ?cache ?metrics ?trace job.job_sentence
         with
         | report -> report
         | exception exn ->

@@ -90,8 +90,6 @@ val analyze_sentence :
   spec ->
   ?message:string ->
   ?field:string ->
-  ?struct_def:Sage_rfc.Header_diagram.t ->
-  ?strategy:Sage_nlp.Chunker.strategy ->
   ?cache:Chart_cache.t ->
   ?metrics:Sage_sched.Metrics.t ->
   ?trace:Sage_trace.Trace.t ->

@@ -76,9 +76,11 @@ let to_json t (funcs : Ir.func list) =
     (fun i (f : Ir.func) ->
       let ids = points f in
       let hit_ids = List.filter (fun id -> hit_count t ~fn:f.Ir.fn_name ~id > 0) ids in
+      Buffer.add_string buf "    ";
+      Sage_json.Json.add_string buf f.Ir.fn_name;
       Buffer.add_string buf
-        (Printf.sprintf "    %S: {\"covered\": %d, \"points\": %d, \"hits\": {"
-           f.Ir.fn_name (List.length hit_ids) (List.length ids));
+        (Printf.sprintf ": {\"covered\": %d, \"points\": %d, \"hits\": {"
+           (List.length hit_ids) (List.length ids));
       List.iteri
         (fun j id ->
           Buffer.add_string buf

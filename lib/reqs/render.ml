@@ -21,23 +21,9 @@ let text ~protocol reqs =
     reqs;
   Buffer.contents buf
 
-(* ---- JSON (self-contained; stable field order) ---- *)
+(* ---- JSON (stable field order) ---- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
+let json_str = Sage_json.Json.string
 
 let req_to_json (r : Req.t) =
   let fields =

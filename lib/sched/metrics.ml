@@ -90,34 +90,3 @@ let summary t =
       cnts
   end;
   Buffer.contents buf
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_obj fields =
-  "{"
-  ^ String.concat ", "
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" (json_escape k) v) fields)
-  ^ "}"
-
-let to_json t =
-  json_obj
-    [
-      ("stages_ns",
-       json_obj (List.map (fun (k, v) -> (k, Int64.to_string v)) (stage_ns t)));
-      ("stage_calls",
-       json_obj (List.map (fun (k, v) -> (k, string_of_int v)) (stage_calls t)));
-      ("counters",
-       json_obj (List.map (fun (k, v) -> (k, string_of_int v)) (counters t)));
-    ]

@@ -37,7 +37,3 @@ val merge_into : t -> t -> unit
 val summary : t -> string
 (** Multi-line human-readable summary: a stage-time table (time per
     stage, calls, mean per call) followed by the counters. *)
-
-val to_json : t -> string
-(** [{"stages_ns": {...}, "stage_calls": {...}, "counters": {...}}] —
-    machine-readable, stable key order (sorted). *)

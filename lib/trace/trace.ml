@@ -133,32 +133,16 @@ let event_count t =
 
 (* --- rendering ------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let arg_to_json = function
   | Int i -> string_of_int i
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | Str s -> Sage_json.Json.string s
   | Float f -> Printf.sprintf "%.6g" f
   | Bool b -> if b then "true" else "false"
 
 let args_to_json args =
   String.concat ","
     (List.map
-       (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) (arg_to_json v))
+       (fun (k, v) -> Sage_json.Json.string k ^ ":" ^ arg_to_json v)
        args)
 
 let ph_char = function
@@ -180,10 +164,12 @@ let ts_to_json clock ts =
 
 let event_to_json clock ev =
   let buf = Buffer.create 128 in
+  Buffer.add_string buf "{\"name\":";
+  Sage_json.Json.add_string buf ev.name;
+  Buffer.add_string buf ",\"cat\":";
+  Sage_json.Json.add_string buf (if ev.cat = "" then "sage" else ev.cat);
   Buffer.add_string buf
-    (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\",\"ts\":%s,\"pid\":1,\"tid\":%d"
-       (json_escape ev.name)
-       (json_escape (if ev.cat = "" then "sage" else ev.cat))
+    (Printf.sprintf ",\"ph\":\"%c\",\"ts\":%s,\"pid\":1,\"tid\":%d"
        (ph_char ev.ph) (ts_to_json clock ev.ts) ev.tid);
   (match ev.ph with
   | Instant -> Buffer.add_string buf ",\"s\":\"t\""

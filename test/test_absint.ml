@@ -17,6 +17,7 @@ module Fsm = Sage_analysis.Fsm
 module Engine = Sage_fuzz.Engine
 module Coverage = Sage_interp.Coverage
 module C = Corpus_runs
+module Corpora = Sage.Corpora
 module Q = Qcheck_lite
 
 let check = Alcotest.check
@@ -193,7 +194,7 @@ let sa_codes = [ "SA007"; "SA008"; "SA009"; "SA010"; "SA011"; "SA012" ]
 
 let test_corpora_never_raise_no_errors () =
   List.iter
-    (fun (c : C.corpus) ->
+    (fun (c : Corpora.t) ->
       let run = C.run_of c in
       let funcs = run.P.codegen.P.functions in
       (* re-running the summary directly must not raise either *)
@@ -207,23 +208,23 @@ let test_corpora_never_raise_no_errors () =
       List.iter
         (fun (d : D.t) ->
           if d.D.code = "SA000" then
-            Alcotest.failf "%s: analysis check raised: %s" c.C.name d.D.text;
+            Alcotest.failf "%s: analysis check raised: %s" c.name d.D.text;
           if d.D.severity = D.Error && List.mem d.D.code sa_codes then
-            Alcotest.failf "%s: unexpected %s error in %s: %s" c.C.name
+            Alcotest.failf "%s: unexpected %s error in %s: %s" c.name
               d.D.code d.D.fn_name d.D.text)
         run.P.diagnostics)
-    C.corpora
+    Corpora.all
 
 let test_all_corpus_functions_proved () =
   List.iter
-    (fun (c : C.corpus) ->
+    (fun (c : Corpora.t) ->
       let run = C.run_of c in
       let funcs = run.P.codegen.P.functions in
       let proved = A.proved_functions run.P.diagnostics funcs in
       check Alcotest.int
-        (Printf.sprintf "%s: all functions SA007-proved" c.C.name)
+        (Printf.sprintf "%s: all functions SA007-proved" c.name)
         (List.length funcs) (List.length proved))
-    C.corpora
+    Corpora.all
 
 (* random IR: the analyzer is total even on garbage (unknown ops,
    unbound params, fields outside the layout), and none of the checks
@@ -292,8 +293,7 @@ let prop_random_ir_total body =
 
 (* ---- SA011: FSM models, wedges, and the seeded fixture ---- *)
 
-let corpus name = List.find (fun c -> c.C.name = name) C.corpora
-let bfd_funcs () = (C.run_of (corpus "bfd")).P.codegen.P.functions
+let bfd_funcs () = (C.run_of (C.corpus "bfd")).P.codegen.P.functions
 
 let test_bfd_fsm_model_recovered () =
   let funcs = bfd_funcs () in
@@ -330,21 +330,21 @@ let test_seeded_wedge_detected () =
 
 let test_untampered_corpora_wedge_free () =
   List.iter
-    (fun (c : C.corpus) ->
+    (fun (c : Corpora.t) ->
       let funcs = (C.run_of c).P.codegen.P.functions in
       match funcs with
       | [] -> ()
       | f :: _ ->
         check Alcotest.int
-          (Printf.sprintf "%s: no SA011" c.C.name)
+          (Printf.sprintf "%s: no SA011" c.name)
           0
           (List.length (Fsm.check ~protocol:f.Ir.protocol funcs)))
-    C.corpora
+    Corpora.all
 
 (* ---- SA012: the seeded slot-divergence fixture ---- *)
 
 let test_seeded_divergence_detected () =
-  let run = C.run_of (corpus "icmp") in
+  let run = C.run_of (C.corpus "icmp") in
   let target = Sage_backend.Seeded_divergence.default_target in
   let f =
     List.find
@@ -367,7 +367,7 @@ let test_seeded_divergence_detected () =
 let test_dead_arms_never_covered () =
   (* bgp is the corpus whose decided guards carry non-empty dead arms
      (the version-mismatch and hold-time error branches) *)
-  let run = C.run_of (corpus "bgp") in
+  let run = C.run_of (C.corpus "bgp") in
   let targets =
     List.filter_map
       (fun (f : Ir.func) ->
@@ -411,7 +411,7 @@ let test_dead_arms_never_covered () =
 (* ---- proved-function plumbing: fuzz cross-validation + exit codes ---- *)
 
 let test_engine_proof_check_ok () =
-  let run = C.run_of (corpus "icmp") in
+  let run = C.run_of (C.corpus "icmp") in
   let funcs = run.P.codegen.P.functions in
   let proved = A.proved_functions run.P.diagnostics funcs in
   let targets =

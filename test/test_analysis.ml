@@ -309,26 +309,8 @@ let test_sentence_provenance () =
 let corpus_runs =
   lazy
     (List.map
-       (fun (name, spec, title, text) ->
-         (name, P.run_document ~jobs:1 (spec ()) ~title ~text))
-       [
-         ("icmp", P.icmp_spec, Sage_corpus.Icmp_rfc.title,
-          Sage_corpus.Icmp_rfc.text);
-         ("icmp-rw", P.icmp_spec, Sage_corpus.Icmp_rfc.title,
-          Sage_corpus.Icmp_rfc.rewritten_text);
-         ("igmp", P.igmp_spec, Sage_corpus.Igmp_rfc.title,
-          Sage_corpus.Igmp_rfc.text);
-         ("ntp", P.ntp_spec, Sage_corpus.Ntp_rfc.title,
-          Sage_corpus.Ntp_rfc.text);
-         ("bfd", P.bfd_spec, Sage_corpus.Bfd_rfc.title,
-          Sage_corpus.Bfd_rfc.text);
-         ("bfd-rw", P.bfd_spec, Sage_corpus.Bfd_rfc.title,
-          Sage_corpus.Bfd_rfc.rewritten_text);
-         ("tcp", P.tcp_spec, Sage_corpus.Tcp_rfc.title,
-          Sage_corpus.Tcp_rfc.text);
-         ("bgp", P.bgp_spec, Sage_corpus.Bgp_rfc.title,
-          Sage_corpus.Bgp_rfc.text);
-       ])
+       (fun (c : Sage.Corpora.t) -> (c.name, Corpus_runs.run_of c))
+       Sage.Corpora.all)
 
 let test_corpora_error_free () =
   List.iter

@@ -19,6 +19,7 @@ module Hd = Sage_rfc.Header_diagram
 module Trace = Sage_trace.Trace
 module P = Sage.Pipeline
 module C = Corpus_runs
+module Corpora = Sage.Corpora
 module Q = Qcheck_lite
 
 let check = Alcotest.check
@@ -32,8 +33,7 @@ let contains haystack needle =
   in
   nn = 0 || go 0
 
-let corpus name = List.find (fun c -> c.C.name = name) C.corpora
-let run_of name = C.run_of (corpus name)
+let run_of name = C.run_of (C.corpus name)
 
 let targets_of (run : P.run) =
   List.filter_map
@@ -48,8 +48,7 @@ let layout_of run fn = List.assoc fn run.P.codegen.P.struct_of_function
 let func_of (run : P.run) fn =
   List.find (fun f -> f.Ir.fn_name = fn) run.P.codegen.P.functions
 
-let all_corpora =
-  [ "icmp"; "icmp-rw"; "igmp"; "ntp"; "bfd"; "bfd-rw"; "tcp"; "bgp" ]
+let all_corpora = List.map (fun c -> c.Corpora.name) Corpora.all
 
 (* ---- backend selection ---- *)
 

@@ -3,6 +3,7 @@
    byte-exact campaign golden snapshot. *)
 
 module C = Corpus_runs
+module Corpora = Sage.Corpora
 module P = Sage.Pipeline
 module E = Sage_chaos.Episode
 module O = Sage_chaos.Oracle
@@ -14,22 +15,12 @@ module Faults = Sage_sim.Faults
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
 
-let find_corpus name = List.find (fun c -> c.C.name = name) C.corpora
+let case_of (c : Corpora.t) =
+  { Cam.corpus = c.name;
+    generated_run = lazy (C.run_of (Corpora.generated_backing c)) }
 
-(* The generated stack of an ambiguous original text does not
-   interoperate (the paper's §6.5 negative result, pinned by the interop
-   suite); its chaos cases run the disambiguated run instead. *)
-let gen_backing = function
-  | "icmp" -> "icmp-rw"
-  | "bfd" -> "bfd-rw"
-  | c -> c
-
-let case_of name =
-  { Cam.corpus = name;
-    generated_run = lazy (C.run_of (find_corpus (gen_backing name))) }
-
-let icmp_cases = [ case_of "icmp" ]
-let all_cases = List.map (fun c -> case_of c.C.name) C.corpora
+let icmp_cases = [ case_of (C.corpus "icmp") ]
+let all_cases = List.map case_of Corpora.all
 
 (* ---- episode grammar ---- *)
 
@@ -197,7 +188,7 @@ let test_seeded_wedge_fails_and_shrinks () =
 (* ---- chaos counters surface in Report.stats ---- *)
 
 let test_counters_reach_stats () =
-  let run = C.run_of (find_corpus "icmp-rw") in
+  let run = C.run_of (C.corpus "icmp-rw") in
   let before = Sage.Report.stats run in
   check Alcotest.bool "no chaos line before" false
     (Astring_contains.contains before "chaos:");

@@ -33,6 +33,21 @@ let test_malformed_protocol () =
   expect_usage_error "fuzz protocol" "fuzz -p not-a-protocol"
 let test_unknown_subcommand () = expect_usage_error "subcommand" "frobnicate"
 
+(* --rewritten on a protocol the registry holds no rewrite for must not
+   fall back to the original text *)
+let test_rewritten_without_rewrite () =
+  let module Corpora = Sage.Corpora in
+  List.iter
+    (fun (c : Corpora.t) ->
+      if Corpora.lookup c.protocol ~rewritten:true = None then begin
+        let args = Printf.sprintf "run -p %s --rewritten" c.name in
+        expect_usage_error args args;
+        let _, _, err = run_cli args in
+        checkb (args ^ ": names the protocols with a rewrite") true
+          (contains err "icmp, bfd")
+      end)
+    Corpora.all
+
 let test_help_exits_zero () =
   let code, out, _err = run_cli "fuzz --help" in
   checki "help exit 0" 0 code;
@@ -213,4 +228,6 @@ let suite =
       test_analyze_json_deterministic;
     Alcotest.test_case "fuzz: --check-proofs passes" `Slow
       test_fuzz_check_proofs;
+    Alcotest.test_case "--rewritten without a rewrite" `Quick
+      test_rewritten_without_rewrite;
   ]

@@ -20,6 +20,7 @@ module Trace = Sage_trace.Trace
 module Metrics = Sage_sched.Metrics
 module P = Sage.Pipeline
 module C = Corpus_runs
+module Corpora = Sage.Corpora
 
 let check = Alcotest.check
 let checki = Alcotest.check Alcotest.int
@@ -34,7 +35,6 @@ let contains haystack needle =
 
 (* ---- shared targets ---- *)
 
-let corpus name = List.find (fun c -> c.C.name = name) C.corpora
 
 let targets_of (run : P.run) =
   List.filter_map
@@ -44,7 +44,7 @@ let targets_of (run : P.run) =
         (List.assoc_opt f.Ir.fn_name run.P.codegen.P.struct_of_function))
     run.P.codegen.P.functions
 
-let run_of name = C.run_of (corpus name)
+let run_of name = C.run_of (C.corpus name)
 
 let layout_of run fn =
   List.assoc fn run.P.codegen.P.struct_of_function
@@ -498,13 +498,13 @@ let test_engine_deterministic () =
 
 let test_engine_no_findings_all_corpora () =
   List.iter
-    (fun (c : C.corpus) ->
-      let r = engine_result c.C.name in
+    (fun (c : Corpora.t) ->
+      let r = engine_result c.name in
       checki
-        (Printf.sprintf "zero findings on %s" c.C.name)
+        (Printf.sprintf "zero findings on %s" c.name)
         0
         (List.length r.Engine.findings))
-    C.corpora
+    Corpora.all
 
 let test_engine_icmp_coverage_floor () =
   let r = engine_result ~iters:2000 "icmp" in

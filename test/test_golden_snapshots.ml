@@ -14,6 +14,7 @@
 
 module Report = Sage.Report
 module C = Corpus_runs
+module Corpora = Sage.Corpora
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -56,36 +57,36 @@ let compare_snapshot file actual =
         file
     else check Alcotest.string file (read_file path) actual
 
-let test_report_snapshot c () =
-  compare_snapshot (c.C.name ^ ".report.md") (Report.markdown (C.run_of c))
+let test_report_snapshot (c : Corpora.t) () =
+  compare_snapshot (c.name ^ ".report.md") (Report.markdown (C.run_of c))
 
-let test_analysis_snapshot c () =
+let test_analysis_snapshot (c : Corpora.t) () =
   let json = Report.analysis_json (C.run_of c) in
   (match Json_min.validate json with
    | Ok () -> ()
-   | Error e -> Alcotest.failf "%s analysis json malformed: %s" c.C.name e);
-  compare_snapshot (c.C.name ^ ".analysis.json") json
+   | Error e -> Alcotest.failf "%s analysis json malformed: %s" c.name e);
+  compare_snapshot (c.name ^ ".analysis.json") json
 
 (* The text trace sink under --trace-clock logical --jobs 1 is
    byte-deterministic, so it snapshots like any other artifact: any
    change to span structure, event names or the renderer shows up as a
    diff here. *)
-let test_trace_text_snapshot c () =
+let test_trace_text_snapshot (c : Corpora.t) () =
   let _run, trace = C.traced_run_of c in
-  compare_snapshot (c.C.name ^ ".trace.txt")
+  compare_snapshot (c.name ^ ".trace.txt")
     (Sage_trace.Trace.render Sage_trace.Trace.Text trace)
 
 let trace_snapshot_corpora = [ "icmp"; "igmp" ]
 
 let suite =
   List.concat_map
-    (fun c ->
+    (fun (c : Corpora.t) ->
       [
-        tc (c.C.name ^ " report snapshot") (test_report_snapshot c);
-        tc (c.C.name ^ " analysis snapshot") (test_analysis_snapshot c);
+        tc (c.name ^ " report snapshot") (test_report_snapshot c);
+        tc (c.name ^ " analysis snapshot") (test_analysis_snapshot c);
       ]
       @
-      if List.mem c.C.name trace_snapshot_corpora then
-        [ tc (c.C.name ^ " trace-text snapshot") (test_trace_text_snapshot c) ]
+      if List.mem c.name trace_snapshot_corpora then
+        [ tc (c.name ^ " trace-text snapshot") (test_trace_text_snapshot c) ]
       else [])
-    C.corpora
+    Corpora.all

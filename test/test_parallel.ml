@@ -4,6 +4,7 @@
    chart cache is warm. *)
 
 module P = Sage.Pipeline
+module Corpora = Sage.Corpora
 module Pool = Sage_sched.Pool
 module Lru = Sage_sched.Lru
 module Metrics = Sage_sched.Metrics
@@ -138,23 +139,9 @@ let test_metrics_counters_and_merge () =
   let dst = Metrics.create () in
   Metrics.incr ~by:2 dst "a";
   Metrics.merge_into dst m;
-  check Alcotest.int "merged" 7 (Metrics.counter dst "a");
-  check Alcotest.bool "json mentions stage" true
-    (Astring_contains.contains (Metrics.to_json dst) "\"stage\"")
+  check Alcotest.int "merged" 7 (Metrics.counter dst "a")
 
 (* ---- Pipeline determinism ---- *)
-
-let corpora =
-  [
-    ("icmp", P.icmp_spec, Sage_corpus.Icmp_rfc.text);
-    ("icmp-rw", P.icmp_spec, Sage_corpus.Icmp_rfc.rewritten_text);
-    ("igmp", P.igmp_spec, Sage_corpus.Igmp_rfc.text);
-    ("ntp", P.ntp_spec, Sage_corpus.Ntp_rfc.text);
-    ("bfd", P.bfd_spec, Sage_corpus.Bfd_rfc.text);
-    ("bfd-rw", P.bfd_spec, Sage_corpus.Bfd_rfc.rewritten_text);
-    ("tcp", P.tcp_spec, Sage_corpus.Tcp_rfc.text);
-    ("bgp", P.bgp_spec, Sage_corpus.Bgp_rfc.text);
-  ]
 
 let artifact run = Sage.Report.markdown run ^ "\x00" ^ run.P.codegen.P.c_code
 
@@ -171,26 +158,27 @@ let lf_strings run =
 
 let test_parallel_matches_sequential () =
   List.iter
-    (fun (name, spec, text) ->
-      let seq = P.run_document ~jobs:1 (spec ()) ~title:name ~text in
-      let par = P.run_document ~jobs:4 (spec ()) ~title:name ~text in
+    (fun (c : Corpora.t) ->
+      let seq = Corpora.run ~jobs:1 c in
+      let par = Corpora.run ~jobs:4 c in
       check Alcotest.string
-        (Printf.sprintf "%s: report identical under --jobs 4" name)
+        (Printf.sprintf "%s: report identical under --jobs 4" c.name)
         (artifact seq) (artifact par);
       check Alcotest.int
-        (Printf.sprintf "%s: no crashed sentences" name)
+        (Printf.sprintf "%s: no crashed sentences" c.name)
         0
         (List.length (P.crashed_sentences par)))
-    corpora
+    Corpora.all
 
 let test_cache_rerun_identical_with_hits () =
   let cache = Sage.Chart_cache.create ~capacity:4096 () in
   List.iter
-    (fun (name, spec, text) ->
+    (fun name ->
+      let c = Corpus_runs.corpus name in
       let cold_metrics = Metrics.create () in
-      let cold = P.run_document ~cache ~metrics:cold_metrics (spec ()) ~title:name ~text in
+      let cold = Corpora.run ~cache ~metrics:cold_metrics c in
       let warm_metrics = Metrics.create () in
-      let warm = P.run_document ~cache ~metrics:warm_metrics (spec ()) ~title:name ~text in
+      let warm = Corpora.run ~cache ~metrics:warm_metrics c in
       check Alcotest.string
         (Printf.sprintf "%s: warm rerun byte-identical" name)
         (artifact cold) (artifact warm);
@@ -207,26 +195,24 @@ let test_cache_rerun_identical_with_hits () =
         (Printf.sprintf "%s: no misses on rerun" name)
         0
         (Metrics.counter warm_metrics "cache_misses"))
-    [ List.nth corpora 0 (* icmp *); List.nth corpora 5 (* bfd-rw *) ]
+    [ "icmp"; "bfd-rw" ]
 
 let test_cache_shared_across_jobs () =
   (* a cache warmed sequentially, reused by a parallel run: still
      byte-identical, and the parallel run is all hits *)
-  let name, spec, text = List.nth corpora 2 (* igmp *) in
+  let c = Corpus_runs.corpus "igmp" in
   let cache = Sage.Chart_cache.create ~capacity:1024 () in
-  let cold = P.run_document ~jobs:1 ~cache (spec ()) ~title:name ~text in
+  let cold = Corpora.run ~jobs:1 ~cache c in
   let warm_metrics = Metrics.create () in
-  let warm =
-    P.run_document ~jobs:4 ~cache ~metrics:warm_metrics (spec ()) ~title:name ~text
-  in
+  let warm = Corpora.run ~jobs:4 ~cache ~metrics:warm_metrics c in
   check Alcotest.string "warm parallel identical" (artifact cold) (artifact warm);
   check Alcotest.bool "nonzero hits" true (Metrics.counter warm_metrics "cache_hits" > 0)
 
 let test_jobs_zero_and_huge_are_safe () =
   (* degenerate worker counts must not change anything either *)
-  let name, spec, text = List.nth corpora 2 (* igmp *) in
-  let seq = P.run_document ~jobs:1 (spec ()) ~title:name ~text in
-  let huge = P.run_document ~jobs:64 (spec ()) ~title:name ~text in
+  let c = Corpus_runs.corpus "igmp" in
+  let seq = Corpora.run ~jobs:1 c in
+  let huge = Corpora.run ~jobs:64 c in
   check Alcotest.string "jobs=64 identical" (artifact seq) (artifact huge)
 
 let suite =
@@ -240,7 +226,7 @@ let suite =
     tc "lru: hit/miss counters" test_lru_counters;
     tc "lru: find_or_add computes once" test_lru_find_or_add;
     tc "lru: shared across pool workers" test_lru_shared_across_pool_workers;
-    tc "metrics: counters, time, merge, json" test_metrics_counters_and_merge;
+    tc "metrics: counters, time, merge, calls" test_metrics_counters_and_merge;
     tc "determinism: --jobs 4 = sequential, all corpora"
       test_parallel_matches_sequential;
     tc "determinism: cache-warm rerun identical, nonzero hits"

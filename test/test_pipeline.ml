@@ -9,20 +9,40 @@ let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
 
 (* pipeline runs are shared across tests *)
-let icmp_orig =
-  lazy (P.run (P.icmp_spec ()) ~title:"icmp" ~text:Sage_corpus.Icmp_rfc.text)
+let run_of name = lazy (Corpus_runs.run_of (Corpus_runs.corpus name))
+let icmp_orig = run_of "icmp"
+let icmp_rewr = run_of "icmp-rw"
+let igmp = run_of "igmp"
+let ntp = run_of "ntp"
+let bfd_orig = run_of "bfd"
+let bfd_rewr = run_of "bfd-rw"
 
-let icmp_rewr =
-  lazy
-    (P.run (P.icmp_spec ()) ~title:"icmp-rewritten"
-       ~text:Sage_corpus.Icmp_rfc.rewritten_text)
+(* ---- the corpus registry ---- *)
 
-let igmp = lazy (P.run (P.igmp_spec ()) ~title:"igmp" ~text:Sage_corpus.Igmp_rfc.text)
-let ntp = lazy (P.run (P.ntp_spec ()) ~title:"ntp" ~text:Sage_corpus.Ntp_rfc.text)
-let bfd_orig = lazy (P.run (P.bfd_spec ()) ~title:"bfd" ~text:Sage_corpus.Bfd_rfc.text)
-
-let bfd_rewr =
-  lazy (P.run (P.bfd_spec ()) ~title:"bfd-rw" ~text:Sage_corpus.Bfd_rfc.rewritten_text)
+(* every entry is reachable by name and by (protocol, rewritten), its
+   name is the protocol's plus "-rw" for a rewrite, and a generated
+   stack is backed by the rewrite exactly when one exists *)
+let test_corpora_registry () =
+  let module Corpora = Sage.Corpora in
+  List.iter
+    (fun (c : Corpora.t) ->
+      let is_c = function Some c' -> c' == c | None -> false in
+      check Alcotest.bool (c.name ^ " found by name") true
+        (is_c (Corpora.find c.name));
+      check Alcotest.bool (c.name ^ " found by protocol") true
+        (is_c (Corpora.lookup c.protocol ~rewritten:c.rewritten));
+      check Alcotest.string (c.name ^ " spelling")
+        (Corpora.protocol_name c.protocol ^ if c.rewritten then "-rw" else "")
+        c.name;
+      let backing = Corpora.generated_backing c in
+      check Alcotest.bool (c.name ^ " backing protocol") true
+        (backing.protocol = c.protocol);
+      check Alcotest.bool (c.name ^ " backed by a rewrite when one exists")
+        (Corpora.lookup c.protocol ~rewritten:true <> None)
+        backing.rewritten)
+    Corpora.all;
+  check Alcotest.bool "unknown name" true
+    (Option.is_none (Corpora.find "icmp-rw-rw"))
 
 (* ---- analyze_sentence unit behavior ---- *)
 
@@ -336,4 +356,5 @@ let suite =
     tc "BFD rewritten: clean (6.4)" test_bfd_rewritten_is_clean;
     tc "BFD: reception function contents" test_bfd_reception_function_contents;
     tc "BFD: ~22 state-management sentences" test_bfd_sentence_count;
+    tc "corpora: registry names, lookup and backing" test_corpora_registry;
   ]

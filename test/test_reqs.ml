@@ -20,7 +20,7 @@ let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 let contains = Astring_contains.contains
 
-let run_of name = C.run_of (List.find (fun c -> c.C.name = name) C.corpora)
+let run_of name = C.run_of (C.corpus name)
 
 (* ---- RFC 2119 keyword detection ---- *)
 

@@ -69,19 +69,17 @@ let seeded_fixtures =
    zero-violation soak lives in CI's fuzz job. *)
 let clean_corpora =
   List.map
-    (fun corpus ->
-      let rw = Filename.check_suffix corpus "-rw" in
-      let proto = if rw then Filename.chop_suffix corpus "-rw" else corpus in
+    (fun (c : Sage.Corpora.t) ->
       {
-        name = Printf.sprintf "fuzz %s clean" corpus;
+        name = Printf.sprintf "fuzz %s clean" c.name;
         args =
           Printf.sprintf "fuzz -p %s%s --seed 42 --iters 120 --check-reqs"
-            proto
-            (if rw then " --rewritten" else "");
+            (Sage.Corpora.protocol_name c.protocol)
+            (if c.rewritten then " --rewritten" else "");
         exit_code = 0;
         expect = [ "findings   : 0" ];
       })
-    [ "icmp"; "icmp-rw"; "igmp"; "ntp"; "bfd"; "bfd-rw"; "tcp"; "bgp" ]
+    Sage.Corpora.all
   @ [
       {
         name = "chaos icmp clean";

@@ -24,7 +24,7 @@ let local_discr = 7
 let reception_fn = "bfd_reception_of_bfd_control_packets_sender"
 
 let stack =
-  lazy (Gs.of_run (C.run_of (List.find (fun c -> c.C.name = "bfd") C.corpora)))
+  lazy (Gs.of_run (C.run_of (C.corpus "bfd")))
 
 (* the variables both sides track under the same names *)
 let compared_vars =

@@ -11,6 +11,7 @@ module Report = Sage.Report
 module Metrics = Sage_sched.Metrics
 module Q = Qcheck_lite
 module C = Corpus_runs
+module Corpora = Sage.Corpora
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -333,15 +334,15 @@ let required_span_names = [ "document"; "phase:prepass"; "phase:analysis";
                             "phase:codegen"; "phase:render";
                             "phase:static-analysis"; "sentence" ]
 
-let test_corpus_trace_structure c () =
+let test_corpus_trace_structure (c : Corpora.t) () =
   let _run, trace = C.traced_run_of c in
   let js = Trace.to_chrome_json trace in
-  check_valid_json c.C.name js;
+  check_valid_json c.name js;
   let evs = Trace.events trace in
   check Alcotest.bool "events recorded" true (evs <> []);
   List.iter
     (fun name ->
-      check Alcotest.bool (Printf.sprintf "%s has %s span" c.C.name name) true
+      check Alcotest.bool (Printf.sprintf "%s has %s span" c.name name) true
         (List.exists
            (fun ev -> ev.Trace.ph = Trace.Begin && ev.Trace.name = name)
            evs))
@@ -359,18 +360,17 @@ let test_corpus_output_unaffected c () =
     plain.P.codegen.P.c_code traced.P.codegen.P.c_code
 
 let test_trace_deterministic_jobs1 () =
-  let c = List.hd C.corpora in
+  let c = List.hd Corpora.all in
   let _, first = C.traced_run_of c in
   let second = Trace.create ~clock:Trace.Logical () in
   let (_ : P.run) =
-    P.run_document ~jobs:1 ~trace:second (Lazy.force c.C.spec) ~title:c.C.title
-      ~text:c.C.text
+    Corpora.run ~jobs:1 ~trace:second c
   in
   check Alcotest.string "same trace bytes across runs"
     (Trace.to_chrome_json first) (Trace.to_chrome_json second)
 
 let test_trace_counters_present () =
-  let _, trace = C.traced_run_of (List.hd C.corpora) in
+  let _, trace = C.traced_run_of (List.hd Corpora.all) in
   let counters =
     List.filter_map
       (fun ev -> if ev.Trace.ph = Trace.Counter then Some ev.Trace.name else None)
@@ -382,11 +382,10 @@ let test_trace_counters_present () =
     [ "sentences"; "functions"; "diagnostics" ]
 
 let test_trace_worker_spans () =
-  let c = List.hd C.corpora in
+  let c = List.hd Corpora.all in
   let trace = Trace.create () in
   let (_ : P.run) =
-    P.run_document ~jobs:2 ~trace (Lazy.force c.C.spec) ~title:c.C.title
-      ~text:c.C.text
+    Corpora.run ~jobs:2 ~trace c
   in
   let evs = Trace.events trace in
   check Alcotest.bool "worker-0 span" true
@@ -395,8 +394,8 @@ let test_trace_worker_spans () =
   check Alcotest.int "balanced under workers" (count Trace.Begin) (count Trace.End)
 
 let test_trace_cache_events () =
-  let c = List.hd C.corpora in
-  let spec = Lazy.force c.C.spec in
+  let c = List.hd Corpora.all in
+  let spec = c.Corpora.spec () in
   let cache = Sage.Chart_cache.create () in
   let trace = Trace.create ~clock:Trace.Logical () in
   let sentence = "The checksum is zero." in
@@ -429,23 +428,8 @@ let test_metrics_bindings_sorted () =
   check Alcotest.bool "counters sorted" true
     (is_sorted (List.map fst (Metrics.counters m)))
 
-let test_metrics_json_sorted () =
-  let m = Metrics.create () in
-  List.iter (fun s -> Metrics.add_ns m s 5L) [ "zz"; "mm"; "aa" ];
-  let js = Metrics.to_json m in
-  let idx needle =
-    let rec go i =
-      if i + String.length needle > String.length js then -1
-      else if String.sub js i (String.length needle) = needle then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  check Alcotest.bool "aa before mm" true (idx "\"aa\"" < idx "\"mm\"");
-  check Alcotest.bool "mm before zz" true (idx "\"mm\"" < idx "\"zz\"")
-
 let test_report_stats_sorted () =
-  let run = C.run_of (List.hd C.corpora) in
+  let run = C.run_of (List.hd Corpora.all) in
   let stats = Report.stats run in
   (* the stage table lines (between the "stage total calls ..." header
      and the next blank line) must be alphabetically sorted by name *)
@@ -474,13 +458,13 @@ let test_report_stats_sorted () =
 
 let corpus_tests =
   List.concat_map
-    (fun c ->
+    (fun (c : Corpora.t) ->
       [
-        tc (c.C.name ^ " trace valid + structured") (test_corpus_trace_structure c);
-        tc (c.C.name ^ " output unaffected by tracing")
+        tc (c.name ^ " trace valid + structured") (test_corpus_trace_structure c);
+        tc (c.name ^ " output unaffected by tracing")
           (test_corpus_output_unaffected c);
       ])
-    C.corpora
+    Corpora.all
 
 let suite =
   [
@@ -519,6 +503,5 @@ let suite =
       tc "worker spans under jobs 2" test_trace_worker_spans;
       tc "chart-cache hit/miss instants" test_trace_cache_events;
       tc "metrics bindings sorted" test_metrics_bindings_sorted;
-      tc "metrics json keys sorted" test_metrics_json_sorted;
       tc "report stats stage lines sorted" test_report_stats_sorted;
     ]
