@@ -86,24 +86,13 @@ let jobs_arg =
   let doc =
     "Parallel workers for the sentence-analysis phase (0 = one per core). \
      Capped at the host's core count, since extra workers only contend. \
-     Needs OCaml 5 domains; on older compilers the run degrades to \
-     sequential.  Output is byte-identical for any value."
+     Output is byte-identical for any value."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let stats_arg =
-  let doc =
-    "After the run, print per-stage wall times, counters and the chart \
-     cache hit rate."
-  in
+  let doc = "After the run, print per-stage wall times and counters." in
   Arg.(value & flag & info [ "stats" ] ~doc)
-
-let cache_arg =
-  let doc =
-    "Memoize CCG charts in an LRU cache of the given capacity (entries); \
-     repeated token sequences across sections then parse once."
-  in
-  Arg.(value & opt (some int) None & info [ "cache" ] ~docv:"CAP" ~doc)
 
 (* --trace[=FILE]: record a structured event trace.  The trace is
    buffered in memory and written only after the run, so stdout stays
@@ -142,12 +131,23 @@ let trace_clock_arg =
            Sage_trace.Trace.Wall
        & info [ "trace-clock" ] ~docv:"CLOCK" ~doc)
 
+(* output files are checked before the run, so an unwritable path is a
+   one-line usage error instead of an uncaught Sys_error after the work;
+   the check opens for append, so an existing file is only replaced when
+   the returned writer runs at the end *)
+let open_output flag file =
+  match open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o666 file with
+  | oc ->
+    close_out oc;
+    fun contents -> Out_channel.with_open_text file (fun oc -> output_string oc contents)
+  | exception Sys_error e ->
+    Printf.eprintf "sage: %s: %s\n%!" flag e;
+    exit 2
+
 let with_trace ?(clock = Sage_trace.Trace.Wall) trace_file trace_format f =
   match trace_file with
   | None -> f None
   | Some file ->
-    let tracer = Sage_trace.Trace.create ~clock () in
-    let result = f (Some tracer) in
     let file =
       if file <> "" then file
       else
@@ -155,9 +155,10 @@ let with_trace ?(clock = Sage_trace.Trace.Wall) trace_file trace_format f =
         | Sage_trace.Trace.Json -> "sage-trace.json"
         | Sage_trace.Trace.Text -> "sage-trace.txt"
     in
-    let oc = open_out file in
-    output_string oc (Sage_trace.Trace.render trace_format tracer);
-    close_out oc;
+    let write = open_output "--trace" file in
+    let tracer = Sage_trace.Trace.create ~clock () in
+    let result = f (Some tracer) in
+    write (Sage_trace.Trace.render trace_format tracer);
     Printf.eprintf "trace: %s -> %s\n%!" (Sage_trace.Trace.summary tracer) file;
     result
 
@@ -317,19 +318,16 @@ let derivation_cmd =
 (* sage run                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let run_pipeline ?(jobs = 1) ?cache_cap ?trace corpus =
+let run_pipeline ?(jobs = 1) ?trace corpus =
   let jobs = if jobs <= 0 then Sage_sched.Pool.default_jobs () else jobs in
-  let cache =
-    Option.map (fun capacity -> Sage.Chart_cache.create ~capacity ()) cache_cap
-  in
-  Corpora.run ~jobs ?cache ?trace corpus
+  Corpora.run ~jobs ?trace corpus
 
 let run_cmd =
-  let run corpus verbose jobs cache_cap stats analyze fail_on trace_file
-      trace_format trace_clock =
+  let run corpus verbose jobs stats analyze fail_on trace_file trace_format
+      trace_clock =
     setup_logs verbose;
     with_trace ~clock:trace_clock trace_file trace_format @@ fun trace ->
-    let result = run_pipeline ~jobs ?cache_cap ?trace corpus in
+    let result = run_pipeline ~jobs ?trace corpus in
     Printf.printf "document  : %s\n" result.P.document.Sage_rfc.Document.title;
     Printf.printf "sections  : %d\n"
       (List.length result.P.document.Sage_rfc.Document.sections);
@@ -373,9 +371,9 @@ let run_cmd =
   let doc = "Run the full pipeline (parse, winnow, generate) over a corpus." in
   Cmd.v
     (Cmd.info "run" ~doc)
-    Term.(const run $ corpus_term $ verbose_arg $ jobs_arg $ cache_arg
-          $ stats_arg $ analyze_arg $ fail_on_arg $ trace_arg
-          $ trace_format_arg $ trace_clock_arg)
+    Term.(const run $ corpus_term $ verbose_arg $ jobs_arg $ stats_arg
+          $ analyze_arg $ fail_on_arg $ trace_arg $ trace_format_arg
+          $ trace_clock_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage code                                                           *)
@@ -398,7 +396,8 @@ let code_cmd =
           Printf.eprintf "no function %S; available:\n" name;
           List.iter
             (fun f -> Printf.eprintf "  %s\n" f.Sage_codegen.Ir.fn_name)
-            result.P.codegen.P.functions));
+            result.P.codegen.P.functions;
+          exit 2));
     0
   in
   let doc = "Print the generated C code (structs, framework, functions)." in
@@ -449,10 +448,10 @@ let analyze_cmd =
     in
     Arg.(value & flag & info [ "seeded-divergence" ] ~doc)
   in
-  let run corpus verbose jobs cache_cap strict fail_on prove seeded_wedge
+  let run corpus verbose jobs strict fail_on prove seeded_wedge
       seeded_divergence format =
     setup_logs verbose;
-    let result = run_pipeline ~jobs ?cache_cap corpus in
+    let result = run_pipeline ~jobs corpus in
     let funcs = result.P.codegen.P.functions in
     let funcs =
       if seeded_wedge then Sage_chaos.Seeded_wedge.tamper_fsm funcs else funcs
@@ -513,9 +512,8 @@ let analyze_cmd =
   in
   Cmd.v
     (Cmd.info "analyze" ~doc)
-    Term.(const run $ corpus_term $ verbose_arg $ jobs_arg $ cache_arg
-          $ strict_arg $ fail_on_arg $ prove_arg
-          $ seeded_wedge_arg $ seeded_divergence_arg $ format_arg)
+    Term.(const run $ corpus_term $ verbose_arg $ jobs_arg $ strict_arg
+          $ fail_on_arg $ prove_arg $ seeded_wedge_arg $ seeded_divergence_arg $ format_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage ambiguities                                                    *)
@@ -737,14 +735,14 @@ let reqs_cmd =
     in
     Arg.(value & flag & info [ "corpus" ] ~doc)
   in
-  let run corpus verbose jobs cache_cap all_corpora format =
+  let run corpus verbose jobs all_corpora format =
     setup_logs verbose;
     if all_corpora then begin
       Printf.printf "%-8s  %5s  %8s  %9s\n" "corpus" "mined" "compiled"
         "checkable";
       List.iter
         (fun (c : Corpora.t) ->
-          let result = run_pipeline ~jobs ?cache_cap c in
+          let result = run_pipeline ~jobs c in
           let mined, compiled, checkable =
             Sage_reqs.Render.summary_counts result.P.requirements
           in
@@ -754,7 +752,7 @@ let reqs_cmd =
       0
     end
     else begin
-      let result = run_pipeline ~jobs ?cache_cap corpus in
+      let result = run_pipeline ~jobs corpus in
       let protocol = result.P.spec.P.protocol in
       (match format with
        | `Text ->
@@ -775,12 +773,11 @@ let reqs_cmd =
      validity), anchored to the generated functions via sentence \
      provenance.  Checkable requirements are enforced by \
      $(b,sage fuzz --check-reqs) and $(b,sage chaos --check-reqs).  \
-     Output is deterministic: byte-identical across $(b,--jobs) values \
-     and cache states."
+     Output is deterministic: byte-identical across $(b,--jobs) values."
   in
   Cmd.v (Cmd.info "reqs" ~doc)
-    Term.(const run $ corpus_term $ verbose_arg $ jobs_arg $ cache_arg
-          $ corpus_arg $ format_arg)
+    Term.(const run $ corpus_term $ verbose_arg $ jobs_arg $ corpus_arg
+          $ format_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage fuzz                                                           *)
@@ -848,6 +845,7 @@ let fuzz_cmd =
       seeded_divergence check_proofs check_reqs seeded_violation coverage_out
       stats trace_file trace_format trace_clock =
     setup_logs verbose;
+    let write_coverage = Option.map (open_output "--coverage-out") coverage_out in
     with_trace ~clock:trace_clock trace_file trace_format @@ fun trace ->
     let check_reqs = check_reqs || seeded_violation in
     let result = run_pipeline ~jobs ?trace corpus in
@@ -916,14 +914,12 @@ let fuzz_cmd =
         ~protocol:result.P.spec.P.protocol targets
     in
     print_string (Sage_fuzz.Engine.summary fz);
-    (match coverage_out with
-     | None -> ()
-     | Some file ->
-       let oc = open_out file in
-       output_string oc
-         (Sage_interp.Coverage.to_json fz.Sage_fuzz.Engine.coverage
-            fz.Sage_fuzz.Engine.funcs);
-       close_out oc);
+    Option.iter
+      (fun write ->
+        write
+          (Sage_interp.Coverage.to_json fz.Sage_fuzz.Engine.coverage
+             fz.Sage_fuzz.Engine.funcs))
+      write_coverage;
     if stats then begin
       print_newline ();
       print_string (Sage.Report.stats result)
@@ -1120,11 +1116,11 @@ let chaos_cmd =
 (* ------------------------------------------------------------------ *)
 
 let report_cmd =
-  let run corpus verbose jobs cache_cap stats analyze fail_on trace_file
-      trace_format trace_clock =
+  let run corpus verbose jobs stats analyze fail_on trace_file trace_format
+      trace_clock =
     setup_logs verbose;
     with_trace ~clock:trace_clock trace_file trace_format @@ fun trace ->
-    let result = run_pipeline ~jobs ?cache_cap ?trace corpus in
+    let result = run_pipeline ~jobs ?trace corpus in
     print_string (Sage.Report.markdown result);
     if stats then begin
       print_newline ();
@@ -1141,9 +1137,9 @@ let report_cmd =
   in
   Cmd.v
     (Cmd.info "report" ~doc)
-    Term.(const run $ corpus_term $ verbose_arg $ jobs_arg $ cache_arg
-          $ stats_arg $ analyze_arg $ fail_on_arg $ trace_arg
-          $ trace_format_arg $ trace_clock_arg)
+    Term.(const run $ corpus_term $ verbose_arg $ jobs_arg $ stats_arg
+          $ analyze_arg $ fail_on_arg $ trace_arg $ trace_format_arg
+          $ trace_clock_arg)
 
 (* ------------------------------------------------------------------ *)
 (* main                                                                *)

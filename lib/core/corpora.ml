@@ -43,6 +43,6 @@ let protocol_name protocol =
 let generated_backing c =
   Option.value ~default:c (lookup c.protocol ~rewritten:true)
 
-let run ?jobs ?cache ?metrics ?trace c =
-  P.run_document ?jobs ?cache ?metrics ?trace (c.spec ()) ~title:c.title
+let run ?jobs ?metrics ?trace c =
+  P.run_document ?jobs ?metrics ?trace (c.spec ()) ~title:c.title
     ~text:c.text

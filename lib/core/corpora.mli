@@ -41,7 +41,6 @@ val generated_backing : t -> t
 
 val run :
   ?jobs:int ->
-  ?cache:Chart_cache.t ->
   ?metrics:Sage_sched.Metrics.t ->
   ?trace:Sage_trace.Trace.t ->
   t ->

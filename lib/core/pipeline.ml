@@ -171,7 +171,7 @@ let drop_terminator chunks =
     List.rev rest
   | _ -> chunks
 
-let analyze_sentence_body spec ?message ?field ?cache ?metrics ?trace sentence =
+let analyze_sentence_body spec ?message ?field ?metrics ?trace sentence =
   bump metrics "sentences";
   let annotated =
     List.exists (prefix_matches sentence) spec.annotated_non_actionable
@@ -188,8 +188,11 @@ let analyze_sentence_body spec ?message ?field ?cache ?metrics ?trace sentence =
   else begin
     let parse chunks =
       let r =
-        Chart_cache.parse ?cache ?metrics ?trace ~protocol:spec.protocol
-          ~lexicon:spec.lexicon chunks
+        (* the span keeps the "cache" category of the chart memo it once
+           sat in, so trace snapshots and sagebench's stage table hold *)
+        Trace.with_span ~cat:"cache" trace "ccg-parse" @@ fun () ->
+        timed metrics "parse" (fun () ->
+            Sage_ccg.Parser.parse_chunks ~lexicon:spec.lexicon chunks)
       in
       bump ~by:(List.length r.Sage_ccg.Parser.items) metrics "chart_items";
       bump ~by:(List.length r.Sage_ccg.Parser.lfs) metrics "base_lfs";
@@ -285,7 +288,7 @@ let analyze_sentence_body spec ?message ?field ?cache ?metrics ?trace sentence =
 (* Per-sentence span wrapper: the Begin event carries the sentence's
    provenance (clipped text, message, field), the End event its outcome
    (status + LF count before winnowing). *)
-let analyze_sentence spec ?message ?field ?cache ?metrics ?trace sentence =
+let analyze_sentence spec ?message ?field ?metrics ?trace sentence =
   let span_args =
     ("sentence", Trace.Str (clip sentence))
     :: ((match message with Some m -> [ ("message", Trace.Str m) ] | None -> [])
@@ -293,7 +296,7 @@ let analyze_sentence spec ?message ?field ?cache ?metrics ?trace sentence =
   in
   let sp = Trace.span ~cat:"pipeline" ~args:span_args trace "sentence" in
   match
-    analyze_sentence_body spec ?message ?field ?cache ?metrics ?trace sentence
+    analyze_sentence_body spec ?message ?field ?metrics ?trace sentence
   with
   | report ->
     Trace.close trace sp
@@ -377,10 +380,10 @@ let fixed_assignments_for_variant (section : Document.section) variant_name =
 (*   1. a cheap sequential prepass resolves each section's header      *)
 (*      diagram and flattens every prose sentence into an analysis     *)
 (*      job, in document order;                                        *)
-(*   2. the analysis phase — chunk, CCG-parse (through the shared      *)
-(*      chart cache) and winnow — is embarrassingly parallel across    *)
-(*      sentences and fans out over domains via Sage_sched.Pool,       *)
-(*      whose map returns reports in job order;                        *)
+(*   2. the analysis phase — chunk, CCG-parse and winnow — is          *)
+(*      embarrassingly parallel across sentences and fans out over     *)
+(*      domains via Sage_sched.Pool, whose map returns reports in job  *)
+(*      order;                                                         *)
 (*   3. the codegen phase replays the sections sequentially in         *)
 (*      document order over those reports;                             *)
 (*   4. the static-analysis phase runs Sage_analysis over the          *)
@@ -411,7 +414,7 @@ type analysis_job = {
   job_sentence : string;
 }
 
-let run_document ?(jobs = 1) ?cache ?metrics ?trace spec ~title ~text =
+let run_document ?(jobs = 1) ?metrics ?trace spec ~title ~text =
   let m = match metrics with Some m -> m | None -> Sage_sched.Metrics.create () in
   let metrics = Some m in
   Trace.with_span ~cat:"pipeline"
@@ -500,7 +503,7 @@ let run_document ?(jobs = 1) ?cache ?metrics ?trace spec ~title ~text =
            whole document run *)
         match
           analyze_sentence spec ~message:job.job_msg ?field:job.job_field
-            ?cache ?metrics ?trace job.job_sentence
+            ?metrics ?trace job.job_sentence
         with
         | report -> report
         | exception exn ->

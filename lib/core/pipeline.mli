@@ -90,14 +90,12 @@ val analyze_sentence :
   spec ->
   ?message:string ->
   ?field:string ->
-  ?cache:Chart_cache.t ->
   ?metrics:Sage_sched.Metrics.t ->
   ?trace:Sage_trace.Trace.t ->
   string ->
   sentence_report
 (** Parse and winnow one sentence (with subject-supply retry for field
-    descriptions).  [cache] memoizes the CCG chart on the post-chunking
-    token sequence; [metrics] accumulates stage times ("chunk", "parse",
+    descriptions).  [metrics] accumulates stage times ("chunk", "parse",
     "winnow") and counters.  [trace] wraps the analysis in a
     ["sentence"] span whose Begin event carries provenance (clipped
     sentence text, message, field) and whose End event carries the
@@ -110,7 +108,6 @@ val run : spec -> title:string -> text:string -> run
 
 val run_document :
   ?jobs:int ->
-  ?cache:Chart_cache.t ->
   ?metrics:Sage_sched.Metrics.t ->
   ?trace:Sage_trace.Trace.t ->
   spec ->
@@ -118,20 +115,18 @@ val run_document :
   text:string ->
   run
 (** The full pipeline with an explicit execution policy.  [jobs] (default
-    [1]) is the number of workers the sentence-analysis phase may use;
-    when OCaml 5 domains are unavailable the run silently degrades to
-    sequential.  The output is {e deterministic}: for a given input it is
-    byte-identical whatever [jobs] is and whether or not [cache] is warm
-    (timings in [metrics] of course vary).  [cache] may be shared across
-    runs and protocols; [metrics] defaults to a fresh record, returned in
-    the [run].
+    [1]) is the number of domains the sentence-analysis phase may use.
+    The output is {e deterministic}: for a given input it is
+    byte-identical whatever [jobs] is (timings in [metrics] of course
+    vary).  [metrics] defaults to a fresh record, returned in the
+    [run].
 
     [trace] records the run as structured events: a ["document"] span
     enclosing ["phase:prepass"] / ["phase:analysis"] /
     ["phase:codegen"] / ["phase:render"] / ["phase:static-analysis"]
     spans, per-worker ["worker-N"] spans inside the analysis phase, one
-    ["sentence"] span per analysed sentence (see {!analyze_sentence}),
-    cache hit/miss instants, one ["diagnostic"] instant per
+    ["sentence"] span per analysed sentence (see {!analyze_sentence})
+    with a ["ccg-parse"] span per parse, one ["diagnostic"] instant per
     static-analysis finding and final sentence/function/diagnostic
     counters.  Tracing never changes the run's output — with [trace]
     absent every emission helper is a no-op. *)

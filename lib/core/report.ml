@@ -36,13 +36,6 @@ let stats run =
        run.Pipeline.document.Sage_rfc.Document.title);
   Buffer.add_string buf (Sage_sched.Metrics.summary m);
   (* each subsystem's counter block renders only when it actually ran *)
-  let hits = Sage_sched.Metrics.counter m "cache_hits" in
-  let misses = Sage_sched.Metrics.counter m "cache_misses" in
-  if hits + misses > 0 then
-    Buffer.add_string buf
-      (Printf.sprintf "\nchart cache: %d hits / %d misses (%.1f%% hit rate)\n"
-         hits misses
-         (100.0 *. float_of_int hits /. float_of_int (hits + misses)));
   let cov_points = Sage_sched.Metrics.counter m "fuzz.coverage.points" in
   if cov_points > 0 then begin
     let cov = Sage_sched.Metrics.counter m "fuzz.coverage.covered" in

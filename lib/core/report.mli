@@ -25,7 +25,7 @@ val rewrite_worklist : Pipeline.run -> string
     sentences), empty string when the spec is clean. *)
 
 val stats : Pipeline.run -> string
-(** The run's stage metrics (wall time per stage, counters, chart-cache
-    hit rate).  Timing-dependent, so deliberately {e not} part of
-    {!markdown}: the markdown report stays byte-identical across
-    sequential, parallel and cache-warm runs. *)
+(** The run's stage metrics (wall time per stage, counters).
+    Timing-dependent, so deliberately {e not} part of {!markdown}: the
+    markdown report stays byte-identical across sequential and parallel
+    runs. *)

@@ -1,7 +1,7 @@
 (* Text and JSON renderers for mined requirements.  Both are
    deterministic functions of the requirement list alone (ids are
    assigned in document order by [Extract.mine]), so the output is
-   byte-identical across --jobs values and cache states. *)
+   byte-identical across --jobs values. *)
 
 let summary_counts reqs =
   let compiled = List.filter (fun r -> r.Req.rule <> None) reqs in

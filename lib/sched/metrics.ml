@@ -2,7 +2,7 @@ type t = {
   stage_ns : (string, int64) Hashtbl.t;
   stage_calls : (string, int) Hashtbl.t;
   counts : (string, int) Hashtbl.t;
-  lock : Sched_backend.mutex;
+  lock : Mutex.t;
 }
 
 let create () =
@@ -10,7 +10,7 @@ let create () =
     stage_ns = Hashtbl.create 16;
     stage_calls = Hashtbl.create 16;
     counts = Hashtbl.create 16;
-    lock = Sched_backend.mutex ();
+    lock = Mutex.create ();
   }
 
 let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
@@ -19,12 +19,12 @@ let tbl_add tbl key v zero add =
   Hashtbl.replace tbl key (add (Option.value ~default:zero (Hashtbl.find_opt tbl key)) v)
 
 let add_ns t stage ns =
-  Sched_backend.with_lock t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       tbl_add t.stage_ns stage ns 0L Int64.add;
       tbl_add t.stage_calls stage 1 0 ( + ))
 
 let incr ?(by = 1) t name =
-  Sched_backend.with_lock t.lock (fun () -> tbl_add t.counts name by 0 ( + ))
+  Mutex.protect t.lock (fun () -> tbl_add t.counts name by 0 ( + ))
 
 let time t stage f =
   let t0 = now_ns () in
@@ -44,17 +44,17 @@ let sorted_bindings tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let stage_ns t = Sched_backend.with_lock t.lock (fun () -> sorted_bindings t.stage_ns)
-let stage_calls t = Sched_backend.with_lock t.lock (fun () -> sorted_bindings t.stage_calls)
-let counters t = Sched_backend.with_lock t.lock (fun () -> sorted_bindings t.counts)
+let stage_ns t = Mutex.protect t.lock (fun () -> sorted_bindings t.stage_ns)
+let stage_calls t = Mutex.protect t.lock (fun () -> sorted_bindings t.stage_calls)
+let counters t = Mutex.protect t.lock (fun () -> sorted_bindings t.counts)
 
 let counter t name =
-  Sched_backend.with_lock t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       Option.value ~default:0 (Hashtbl.find_opt t.counts name))
 
 let merge_into dst src =
   let stages = stage_ns src and calls = stage_calls src and cnts = counters src in
-  Sched_backend.with_lock dst.lock (fun () ->
+  Mutex.protect dst.lock (fun () ->
       List.iter (fun (k, v) -> tbl_add dst.stage_ns k v 0L Int64.add) stages;
       List.iter (fun (k, v) -> tbl_add dst.stage_calls k v 0 ( + )) calls;
       List.iter (fun (k, v) -> tbl_add dst.counts k v 0 ( + )) cnts)

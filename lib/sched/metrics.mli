@@ -3,7 +3,7 @@
     A [t] is shared by every {!Pool} worker of a run (operations lock
     internally), accumulating wall time per stage name ("chunk",
     "parse", "winnow", "codegen", ...) and integer counters ("sentences",
-    "cache_hits", "chart_items", ...).  Timings are measurements, not
+    "chart_items", "base_lfs", ...).  Timings are measurements, not
     results: they vary run to run and are deliberately kept out of the
     deterministic report artifacts. *)
 

@@ -1,14 +1,11 @@
-let default_jobs = Sched_backend.default_jobs
+let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
 let no_hook (_ : int) body = body ()
 
 let map ?(around_worker = no_hook) ~jobs f items =
   let n = Array.length items in
-  (* workers beyond the item count or the host's cores only contend;
-     the host count is 1 on the sequential fallback *)
-  let jobs =
-    if jobs <= 1 then jobs else min (min jobs n) (Sched_backend.default_jobs ())
-  in
+  (* workers beyond the item count or the host's cores only contend *)
+  let jobs = if jobs <= 1 then jobs else min (min jobs n) (default_jobs ()) in
   if n = 0 then [||]
   else if jobs <= 1 then begin
     let out = ref [||] in
@@ -34,13 +31,10 @@ let map ?(around_worker = no_hook) ~jobs f items =
     in
     (* jobs - 1 spawned workers; the calling thread is worker 0 *)
     let handles =
-      List.init (jobs - 1) (fun k -> Sched_backend.spawn (worker (k + 1)))
+      List.init (jobs - 1) (fun k -> Domain.spawn (worker (k + 1)))
     in
     worker 0 ();
-    List.iter Sched_backend.join handles;
+    List.iter Domain.join handles;
     (match Atomic.get error with Some exn -> raise exn | None -> ());
     Array.map (function Some v -> v | None -> assert false) results
   end
-
-let map_list ?around_worker ~jobs f items =
-  Array.to_list (map ?around_worker ~jobs f (Array.of_list items))

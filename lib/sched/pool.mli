@@ -1,15 +1,15 @@
 (** A deterministic work-queue scheduler.
 
-    [map] fans independent jobs out across OCaml 5 domains when the
-    compiler provides them (see {!Sched_backend}), while guaranteeing
-    that the result is {e exactly} [Array.map f items]: results come
-    back in input order, and the first exception a job raises is
-    re-raised to the caller once every worker has stopped.  Workers pull
-    indices from a shared atomic counter, so jobs of uneven cost
-    balance automatically. *)
+    [map] fans independent jobs out across OCaml 5 domains, while
+    guaranteeing that the result is {e exactly} [Array.map f items]:
+    results come back in input order, and the first exception a job
+    raises is re-raised to the caller once every worker has stopped.
+    Workers pull indices from a shared atomic counter, so jobs of uneven
+    cost balance automatically. *)
 
 val default_jobs : unit -> int
-(** Recommended [jobs] for this host ([1] on the sequential fallback). *)
+(** Recommended [jobs] for this host: the runtime's recommended domain
+    count. *)
 
 val map :
   ?around_worker:(int -> (unit -> unit) -> unit) ->
@@ -20,8 +20,8 @@ val map :
 (** [map ~jobs f items] applies [f] to every element, using up to [jobs]
     workers (including the calling thread), but never more workers than
     items or than {!default_jobs}: extra domains on a busy host only
-    contend.  [jobs <= 1], a singleton or empty input, or a fallback
-    build all degrade to plain [Array.map].
+    contend.  [jobs <= 1] or a singleton or empty input degrade to
+    plain [Array.map].
     If any [f] raises, remaining queued jobs are abandoned and the first
     exception (by completion time) is re-raised after all workers
     join.
@@ -32,11 +32,3 @@ val map :
     sequential path runs entirely as worker [0]).  Defaults to a plain
     call.  Used to open per-worker trace spans without making the
     scheduler depend on the tracer. *)
-
-val map_list :
-  ?around_worker:(int -> (unit -> unit) -> unit) ->
-  jobs:int ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
-(** List version of {!map}, same ordering guarantee. *)

@@ -33,7 +33,7 @@ type clock =
 type t = {
   clock : clock;
   start_ns : int64;
-  lock : Sage_sched.Sched_backend.mutex;
+  lock : Mutex.t;
   mutable rev_events : event list;
   mutable count : int;
   mutable next_span : int;
@@ -44,7 +44,7 @@ let create ?(clock = Wall) () =
   {
     clock;
     start_ns = Sage_sched.Metrics.now_ns ();
-    lock = Sage_sched.Sched_backend.mutex ();
+    lock = Mutex.create ();
     rev_events = [];
     count = 0;
     next_span = 0;
@@ -62,14 +62,14 @@ let stamp t =
     t.ticks
 
 let push t ~name ~cat ~ph ~span_id ~args =
-  Sage_sched.Sched_backend.with_lock t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       let ev =
         {
           name;
           cat;
           ph;
           ts = stamp t;
-          tid = Sage_sched.Sched_backend.self_id ();
+          tid = (Domain.self () :> int);
           span_id;
           args;
         }
@@ -88,7 +88,7 @@ let span ?(cat = "") ?(args = []) trace name =
   | None -> No_span
   | Some t ->
     let id =
-      Sage_sched.Sched_backend.with_lock t.lock (fun () ->
+      Mutex.protect t.lock (fun () ->
           t.next_span <- t.next_span + 1;
           t.next_span)
     in
@@ -126,10 +126,10 @@ let counter ?(cat = "") trace name value =
     push t ~name ~cat ~ph:Counter ~span_id:0 ~args:[ ("value", Int value) ]
 
 let events t =
-  Sage_sched.Sched_backend.with_lock t.lock (fun () -> List.rev t.rev_events)
+  Mutex.protect t.lock (fun () -> List.rev t.rev_events)
 
 let event_count t =
-  Sage_sched.Sched_backend.with_lock t.lock (fun () -> t.count)
+  Mutex.protect t.lock (fun () -> t.count)
 
 (* --- rendering ------------------------------------------------------ *)
 

@@ -34,7 +34,7 @@ type event = {
   cat : string;  (** category, e.g. ["pipeline"], ["sim"] *)
   ph : phase;
   ts : int64;  (** ns since tracer creation (Wall) or tick (Logical) *)
-  tid : int;  (** emitting worker, {!Sage_sched.Sched_backend.self_id} *)
+  tid : int;  (** emitting worker: the id of the emitting domain *)
   span_id : int;  (** matching id for Begin/End pairs, [0] otherwise *)
   args : (string * arg) list;
 }

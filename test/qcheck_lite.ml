@@ -56,6 +56,7 @@ let bool =
 
 let lower_alpha r = Char.chr (gen_range r (Char.code 'a') (Char.code 'z'))
 let printable r = Char.chr (gen_range r 32 126)
+let any_char r = Char.chr (int_below r 256)
 
 let shrink_string s =
   let n = String.length s in
@@ -104,7 +105,7 @@ let bytes_arb ?(min_len = 0) ~max_len () =
     gen =
       (fun r ->
         let n = gen_range r min_len max_len in
-        Bytes.init n (fun _ -> Char.chr (int_below r 256)));
+        Bytes.init n (fun _ -> any_char r));
     shrink = (fun b -> List.filter (fun c -> Bytes.length c >= min_len) (shrink_bytes b));
     print = print_bytes;
   }
@@ -157,6 +158,38 @@ let pair a b =
     print = (fun (x, y) -> Printf.sprintf "(%s, %s)" (a.print x) (b.print y));
   }
 
+let triple a b c =
+  {
+    gen =
+      (fun r ->
+        let x = a.gen r in
+        let y = b.gen r in
+        (x, y, c.gen r));
+    shrink =
+      (fun (x, y, z) ->
+        List.map (fun x' -> (x', y, z)) (a.shrink x)
+        @ List.map (fun y' -> (x, y', z)) (b.shrink y)
+        @ List.map (fun z' -> (x, y, z')) (c.shrink z));
+    print =
+      (fun (x, y, z) -> Printf.sprintf "(%s, %s, %s)" (a.print x) (b.print y) (c.print z));
+  }
+
+let quad a b c d =
+  let abc = triple a b c in
+  {
+    gen =
+      (fun r ->
+        let x, y, z = abc.gen r in
+        (x, y, z, d.gen r));
+    shrink =
+      (fun (x, y, z, w) ->
+        List.map (fun (x', y', z') -> (x', y', z', w)) (abc.shrink (x, y, z))
+        @ List.map (fun w' -> (x, y, z, w')) (d.shrink w));
+    print =
+      (fun (x, y, z, w) ->
+        Printf.sprintf "(%s, %s, %s, %s)" (a.print x) (b.print y) (c.print z) (d.print w));
+  }
+
 let map ~print f a =
   (* shrinking is lost across an arbitrary map; use for final assembly
      (e.g. tuple-of-fields -> packet record), not for shrinkable cores *)
@@ -192,6 +225,35 @@ let token =
   make ~print:(fun t -> Printf.sprintf "%S" t.Sage_nlp.Token.text) gen
 
 let token_list = list_of ~max_len:12 token
+
+(* -- logical forms: leaves from fixed pools, predicates of 1-3
+   arguments, the size budget halving at each level; a predicate shrinks
+   to its arguments.  The size is drawn like QCheck's [nat]: below 10,
+   100, 1000 or 10000 with probability 0.5/0.25/0.2/0.05, so about one
+   tree in four nests deeper than seven levels -- *)
+
+let sized_nat r =
+  let k = int_below r 20 in
+  int_below r (if k < 10 then 10 else if k < 15 then 100 else if k < 19 then 1_000 else 10_000)
+
+let lf ~terms ~max_num ~strs ~preds =
+  let leaf r =
+    match int_below r 3 with
+    | 0 -> Sage_logic.Lf.Term (pick r terms)
+    | 1 -> Sage_logic.Lf.Num (gen_range r 0 max_num)
+    | _ -> Sage_logic.Lf.Str (pick r strs)
+  in
+  let rec go n r =
+    if n <= 1 || int_below r 4 = 0 then leaf r
+    else
+      let p = pick r preds in
+      Sage_logic.Lf.Pred (p, List.init (gen_range r 1 3) (fun _ -> go (n / 2) r))
+  in
+  {
+    gen = (fun r -> go (sized_nat r) r);
+    shrink = (function Sage_logic.Lf.Pred (_, args) -> args | _ -> []);
+    print = Sage_logic.Lf.to_string;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Runner.                                                             *)

@@ -145,6 +145,56 @@ let test_fuzz_coverage_out () =
   checkb "coverage json has functions" true (contains json "\"functions\"");
   checkb "coverage json has totals" true (contains json "\"points\"")
 
+(* ---- output files: an unwritable path fails before the run ---- *)
+
+(* a path below a regular file can never be created *)
+let unwritable_path name =
+  Filename.concat (Filename.temp_file "sage_cli" ".file") name
+
+let expect_unwritable name args path =
+  let code, out, err = run_cli args in
+  Sys.remove (Filename.dirname path);
+  checki (name ^ ": exit 2") 2 code;
+  Alcotest.check Alcotest.string (name ^ ": nothing on stdout") "" out;
+  checki (name ^ ": one line on stderr") 1
+    (List.length (String.split_on_char '\n' (String.trim err)));
+  checkb (name ^ ": names the path") true (contains err path);
+  checkb (name ^ ": no uncaught exception") false
+    (contains err "uncaught exception" || contains err "Raised at")
+
+let test_unwritable_trace () =
+  let path = unwritable_path "t.json" in
+  expect_unwritable "--trace" ("run -p icmp --trace " ^ path) path;
+  (* the up-front check must not empty an existing file: a run that
+     stops with a usage error leaves it as it was *)
+  let file = Filename.temp_file "sage_trace" ".json" in
+  Out_channel.with_open_text file (fun oc -> output_string oc "kept");
+  let code, _out, _err =
+    run_cli ("fuzz -p icmp --seeded-violation --trace " ^ file)
+  in
+  let contents = read_file file in
+  Sys.remove file;
+  checki "early usage error: exit 2" 2 code;
+  Alcotest.check Alcotest.string "existing --trace file untouched" "kept" contents
+
+let test_unwritable_coverage_out () =
+  let path = unwritable_path "x.json" in
+  expect_unwritable "--coverage-out"
+    ("fuzz --iters 10 --coverage-out " ^ path)
+    path
+
+let test_code_unknown_function () =
+  let code, out, err = run_cli "code -p icmp -f no_such_function" in
+  checki "exit 2" 2 code;
+  Alcotest.check Alcotest.string "nothing on stdout" "" out;
+  checkb "names the function" true (contains err "no function \"no_such_function\"");
+  checkb "lists the available functions" true (contains err "  icmp_")
+
+let test_no_cache_option () =
+  List.iter
+    (fun verb -> expect_usage_error (verb ^ " --cache") (verb ^ " --cache 64"))
+    [ "run"; "report"; "analyze"; "reqs" ]
+
 (* ---- analyze verb: proofs, fixtures, policies, determinism ---- *)
 
 let test_malformed_fail_on () =
@@ -228,6 +278,12 @@ let suite =
       test_analyze_json_deterministic;
     Alcotest.test_case "fuzz: --check-proofs passes" `Slow
       test_fuzz_check_proofs;
+    Alcotest.test_case "unwritable --trace path" `Quick test_unwritable_trace;
+    Alcotest.test_case "unwritable --coverage-out path" `Quick
+      test_unwritable_coverage_out;
+    Alcotest.test_case "code: unknown -f function" `Quick
+      test_code_unknown_function;
+    Alcotest.test_case "no --cache option" `Quick test_no_cache_option;
     Alcotest.test_case "--rewritten without a rewrite" `Quick
       test_rewritten_without_rewrite;
   ]

@@ -12,6 +12,7 @@ module Tok = Sage_nlp.Tokenizer
 module Chunker = Sage_nlp.Chunker
 module Pcap = Sage_net.Pcap
 module Bu = Sage_net.Bytes_util
+module Q = Qcheck_lite
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -153,52 +154,42 @@ let test_static_context_no_shadowing_surprises () =
 
 (* ---- tokenizer / chunker invariants ---- *)
 
-let sentence_gen =
-  QCheck.Gen.(
-    map (String.concat " ")
-      (list_size (int_range 1 12)
-         (oneofl
-            [ "the"; "checksum"; "is"; "zero"; "echo"; "reply"; "message";
-              "if"; "code"; "="; "0"; ","; "identifier"; "may"; "be";
-              "source"; "address"; "of"; "and"; "16-bit"; "one's" ])))
+let sentence_words =
+  [ "the"; "checksum"; "is"; "zero"; "echo"; "reply"; "message"; "if";
+    "code"; "="; "0"; ","; "identifier"; "may"; "be"; "source"; "address";
+    "of"; "and"; "16-bit"; "one's" ]
 
-let arbitrary_sentence = QCheck.make ~print:(fun s -> s) sentence_gen
+let arbitrary_sentence =
+  Q.make ~print:Fun.id (fun r ->
+      String.concat " "
+        (List.init (Q.gen_range r 1 12) (fun _ -> Q.pick r sentence_words)))
 
-let prop_chunker_preserves_words =
-  QCheck.Test.make ~name:"chunking preserves the word sequence" ~count:200
-    arbitrary_sentence (fun s ->
-      let dict = Dict.base () in
-      let chunks = Chunker.chunk_sentence ~dict s in
-      let chunk_words =
-        List.concat_map
-          (fun (c : Chunker.chunk) ->
-            List.filter_map
-              (fun t ->
-                if Sage_nlp.Token.is_word t || Sage_nlp.Token.is_number t then
-                  Some (Sage_nlp.Token.lower t)
-                else None)
-              c.Chunker.tokens)
-          chunks
-      in
-      chunk_words = Tok.words s)
+let prop_chunker_preserves_words s =
+  let dict = Dict.base () in
+  let chunks = Chunker.chunk_sentence ~dict s in
+  let chunk_words =
+    List.concat_map
+      (fun (c : Chunker.chunk) ->
+        List.filter_map
+          (fun t ->
+            if Sage_nlp.Token.is_word t || Sage_nlp.Token.is_number t then
+              Some (Sage_nlp.Token.lower t)
+            else None)
+          c.Chunker.tokens)
+      chunks
+  in
+  chunk_words = Tok.words s
 
-let prop_tokenizer_offsets_monotone =
-  QCheck.Test.make ~name:"token offsets strictly increase" ~count:200
-    arbitrary_sentence (fun s ->
-      let toks = Tok.tokenize s in
-      let rec mono = function
-        | a :: (b :: _ as rest) ->
-          a.Sage_nlp.Token.start < b.Sage_nlp.Token.start && mono rest
-        | _ -> true
-      in
-      mono toks)
+let prop_tokenizer_offsets_monotone s =
+  let rec mono = function
+    | a :: (b :: _ as rest) ->
+      a.Sage_nlp.Token.start < b.Sage_nlp.Token.start && mono rest
+    | _ -> true
+  in
+  mono (Tok.tokenize s)
 
-let prop_sentences_cover_words =
-  QCheck.Test.make ~name:"sentence splitting loses no words" ~count:200
-    arbitrary_sentence (fun s ->
-      let direct = Tok.words s in
-      let via_sentences = List.concat_map Tok.words (Tok.sentences s) in
-      direct = via_sentences)
+let prop_sentences_cover_words s =
+  Tok.words s = List.concat_map Tok.words (Tok.sentences s)
 
 (* ---- qcheck_lite failure reporting ---- *)
 
@@ -246,7 +237,10 @@ let suite =
     tc "bytes_util bounds" test_bytes_util_bounds;
     tc "dictionary extensions matchable" test_dictionary_consistency;
     tc "static context load-bearing entries" test_static_context_no_shadowing_surprises;
-    QCheck_alcotest.to_alcotest prop_chunker_preserves_words;
-    QCheck_alcotest.to_alcotest prop_tokenizer_offsets_monotone;
-    QCheck_alcotest.to_alcotest prop_sentences_cover_words;
+    Q.test "chunking preserves the word sequence" arbitrary_sentence
+      prop_chunker_preserves_words;
+    Q.test "token offsets strictly increase" arbitrary_sentence
+      prop_tokenizer_offsets_monotone;
+    Q.test "sentence splitting loses no words" arbitrary_sentence
+      prop_sentences_cover_words;
   ]

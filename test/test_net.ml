@@ -11,6 +11,7 @@ module Ntp = Sage_net.Ntp
 module Bfd = Sage_net.Bfd
 module Pcap = Sage_net.Pcap
 module Tcpdump = Sage_net.Tcpdump
+module Q = Qcheck_lite
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -531,74 +532,53 @@ let test_tcpdump_ntp () =
 
 (* ---- property tests ---- *)
 
-let prop_checksum_verify =
-  QCheck.Test.make ~name:"filled checksum always verifies" ~count:200
-    QCheck.(string_of_size (Gen.int_range 4 64))
-    (fun s ->
-      let b = Bytes.of_string s in
-      let b = Bytes.cat (Bytes.make 2 '\000') b in
-      Bu.set_u16 b 0 (Checksum.checksum b);
-      Checksum.verify b)
+let u16 = Q.int_range 0 0xffff
 
-let prop_addr_roundtrip =
-  QCheck.Test.make ~name:"addr of_string/to_string" ~count:200
-    QCheck.(quad (int_bound 255) (int_bound 255) (int_bound 255) (int_bound 255))
-    (fun (x, y, z, w) ->
-      let s = Printf.sprintf "%d.%d.%d.%d" x y z w in
-      match Addr.of_string s with
-      | Ok addr -> Addr.to_string addr = s
-      | Error _ -> false)
+let prop_checksum_verify b =
+  let b = Bytes.cat (Bytes.make 2 '\000') b in
+  Bu.set_u16 b 0 (Checksum.checksum b);
+  Checksum.verify b
 
-let prop_ipv4_roundtrip =
-  QCheck.Test.make ~name:"ipv4 encode/decode" ~count:100
-    QCheck.(string_of_size (Gen.int_bound 64))
-    (fun s ->
-      let payload = Bytes.of_string s in
-      let hdr = sample_ip payload in
-      match Ipv4.decode (Ipv4.encode hdr ~payload) with
-      | Ok (_, payload') -> Bytes.equal payload payload'
-      | Error _ -> false)
+let prop_addr_roundtrip (x, y, z, w) =
+  let s = Printf.sprintf "%d.%d.%d.%d" x y z w in
+  match Addr.of_string s with
+  | Ok addr -> Addr.to_string addr = s
+  | Error _ -> false
 
-let prop_icmp_echo_roundtrip =
-  QCheck.Test.make ~name:"icmp echo encode/decode" ~count:100
-    QCheck.(triple (int_bound 0xffff) (int_bound 0xffff) (string_of_size (Gen.int_bound 64)))
-    (fun (id, seq, payload) ->
-      let msg =
-        Icmp.Echo
-          { Icmp.echo_code = 0; identifier = id; sequence = seq;
-            payload = Bytes.of_string payload }
-      in
-      match Icmp.decode (Icmp.encode msg) with
-      | Ok msg' -> Icmp.equal msg msg'
-      | Error _ -> false)
+let prop_ipv4_roundtrip payload =
+  let hdr = sample_ip payload in
+  match Ipv4.decode (Ipv4.encode hdr ~payload) with
+  | Ok (_, payload') -> Bytes.equal payload payload'
+  | Error _ -> false
 
-let prop_fragment_roundtrip =
-  QCheck.Test.make ~name:"fragment/reassemble roundtrip" ~count:100
-    QCheck.(pair (int_range 44 120) (string_of_size (Gen.int_range 1 300)))
-    (fun (mtu, payload) ->
-      let payload = Bytes.of_string payload in
-      let dgram = Ipv4.encode (sample_ip payload) ~payload in
-      match Ipv4.fragment ~mtu dgram with
-      | Error _ -> true (* undersized MTU is allowed to fail *)
-      | Ok frags ->
-        (match Ipv4.reassemble frags with
-         | Ok whole -> Bytes.equal whole dgram
-         | Error _ -> false))
+let prop_icmp_echo_roundtrip (id, seq, payload) =
+  let msg =
+    Icmp.Echo { Icmp.echo_code = 0; identifier = id; sequence = seq; payload }
+  in
+  match Icmp.decode (Icmp.encode msg) with
+  | Ok msg' -> Icmp.equal msg msg'
+  | Error _ -> false
 
-let prop_bfd_roundtrip =
-  QCheck.Test.make ~name:"bfd encode/decode" ~count:100
-    QCheck.(pair (int_bound 3) (pair (int_bound 0xffff) (int_bound 0xffff)))
-    (fun (state_code, (my, your)) ->
-      let state = Result.get_ok (Bfd.state_of_code state_code) in
-      let pkt =
-        { Bfd.default_packet with
-          Bfd.state;
-          my_discriminator = Int32.of_int my;
-          your_discriminator = Int32.of_int your }
-      in
-      match Bfd.decode (Bfd.encode pkt) with
-      | Ok pkt' -> Bfd.equal_packet pkt pkt'
-      | Error _ -> false)
+let prop_fragment_roundtrip (mtu, payload) =
+  let dgram = Ipv4.encode (sample_ip payload) ~payload in
+  match Ipv4.fragment ~mtu dgram with
+  | Error _ -> true (* undersized MTU is allowed to fail *)
+  | Ok frags ->
+    (match Ipv4.reassemble frags with
+     | Ok whole -> Bytes.equal whole dgram
+     | Error _ -> false)
+
+let prop_bfd_roundtrip (state_code, my, your) =
+  let state = Result.get_ok (Bfd.state_of_code state_code) in
+  let pkt =
+    { Bfd.default_packet with
+      Bfd.state;
+      my_discriminator = Int32.of_int my;
+      your_discriminator = Int32.of_int your }
+  in
+  match Bfd.decode (Bfd.encode pkt) with
+  | Ok pkt' -> Bfd.equal_packet pkt pkt'
+  | Error _ -> false
 
 let suite =
   [
@@ -651,10 +631,20 @@ let suite =
     tc "tcpdump bad icmp checksum" test_tcpdump_warns_bad_icmp_checksum;
     tc "tcpdump truncation warning" test_tcpdump_warns_truncation;
     tc "tcpdump ntp" test_tcpdump_ntp;
-    QCheck_alcotest.to_alcotest prop_checksum_verify;
-    QCheck_alcotest.to_alcotest prop_addr_roundtrip;
-    QCheck_alcotest.to_alcotest prop_ipv4_roundtrip;
-    QCheck_alcotest.to_alcotest prop_icmp_echo_roundtrip;
-    QCheck_alcotest.to_alcotest prop_fragment_roundtrip;
-    QCheck_alcotest.to_alcotest prop_bfd_roundtrip;
+    Q.test "filled checksum always verifies"
+      (Q.bytes_arb ~min_len:4 ~max_len:64 ())
+      prop_checksum_verify;
+    Q.test "addr of_string/to_string"
+      Q.(quad byte_int byte_int byte_int byte_int)
+      prop_addr_roundtrip;
+    Q.test ~count:100 "ipv4 encode/decode" (Q.bytes_arb ~max_len:64 ())
+      prop_ipv4_roundtrip;
+    Q.test ~count:100 "icmp echo encode/decode"
+      (Q.triple u16 u16 (Q.bytes_arb ~max_len:64 ()))
+      prop_icmp_echo_roundtrip;
+    Q.test ~count:100 "fragment/reassemble roundtrip"
+      (Q.pair (Q.int_range 44 120) (Q.bytes_arb ~min_len:1 ~max_len:300 ()))
+      prop_fragment_roundtrip;
+    Q.test ~count:100 "bfd encode/decode" (Q.triple (Q.int_range 0 3) u16 u16)
+      prop_bfd_roundtrip;
   ]

@@ -5,6 +5,7 @@ module Pc = Sage_rfc.Pseudo_code
 module Lf = Sage_logic.Lf
 module P = Sage.Pipeline
 module Gs = Sage_sim.Generated_stack
+module Q = Qcheck_lite
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -168,14 +169,10 @@ let test_document_extracts_pseudo () =
   in
   check Alcotest.bool "pseudo block extracted" true has_pseudo
 
-let prop_pseudo_parser_total =
-  QCheck.Test.make ~name:"Pseudo_code.parse never raises" ~count:300
-    QCheck.(string_of_size (Gen.int_bound 64))
-    (fun s ->
-      match Pc.parse s with
-      | _ -> true
-      | exception e ->
-        QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+(* a raise fails the property; Qcheck_lite reports the exception *)
+let prop_pseudo_parser_total s =
+  ignore (Pc.parse s);
+  true
 
 let suite =
   [
@@ -193,5 +190,7 @@ let suite =
     tc "generated procedure executes" test_generated_procedure_executes;
     tc "generated procedure mode guard" test_generated_procedure_mode_guard;
     tc "document extracts pseudo blocks" test_document_extracts_pseudo;
-    QCheck_alcotest.to_alcotest prop_pseudo_parser_total;
+    Q.test ~count:300 "Pseudo_code.parse never raises"
+      (Q.string_of ~max_len:64 Q.any_char)
+      prop_pseudo_parser_total;
   ]

@@ -390,8 +390,8 @@ let test_render_json_escaping () =
   checkb "newline escaped" true (contains json "newline \\n");
   checkb "escaped json parses" true (Json_min.is_valid json)
 
-(* `sage reqs --format json` must be byte-identical whatever --jobs or
-   cache state produced the run (the ISSUE's determinism criterion) *)
+(* `sage reqs --format json` must be byte-identical whatever --jobs
+   produced the run *)
 let test_reqs_cli_deterministic () =
   let c1, out1, _ = Cli_harness.run_cli "reqs -p bfd --format json" in
   let c2, out2, _ = Cli_harness.run_cli "reqs -p bfd --format json --jobs 4" in

@@ -393,22 +393,6 @@ let test_trace_worker_spans () =
   let count ph = List.length (List.filter (fun ev -> ev.Trace.ph = ph) evs) in
   check Alcotest.int "balanced under workers" (count Trace.Begin) (count Trace.End)
 
-let test_trace_cache_events () =
-  let c = List.hd Corpora.all in
-  let spec = c.Corpora.spec () in
-  let cache = Sage.Chart_cache.create () in
-  let trace = Trace.create ~clock:Trace.Logical () in
-  let sentence = "The checksum is zero." in
-  let (_ : P.sentence_report) =
-    P.analyze_sentence spec ~cache ~trace sentence
-  in
-  let (_ : P.sentence_report) =
-    P.analyze_sentence spec ~cache ~trace sentence
-  in
-  let names = List.map (fun ev -> ev.Trace.name) (Trace.events trace) in
-  check Alcotest.bool "first parse misses" true (List.mem "cache-miss" names);
-  check Alcotest.bool "second parse hits" true (List.mem "cache-hit" names)
-
 (* ---- sorted-output invariants (metrics feed snapshots and bench) ---- *)
 
 let is_sorted keys = List.sort compare keys = keys
@@ -501,7 +485,6 @@ let suite =
       tc "trace bytes deterministic at jobs 1" test_trace_deterministic_jobs1;
       tc "pipeline counters present" test_trace_counters_present;
       tc "worker spans under jobs 2" test_trace_worker_spans;
-      tc "chart-cache hit/miss instants" test_trace_cache_events;
       tc "metrics bindings sorted" test_metrics_bindings_sorted;
       tc "report stats stage lines sorted" test_report_stats_sorted;
     ]
